@@ -1,15 +1,19 @@
 """Experiment orchestration: store-backed simulations and evaluations.
 
-The coherence simulation of one workload is the expensive step; every
-filter configuration replays its recorded event streams.  Both levels of
-result are kept in an :class:`~repro.analysis.store.ExperimentStore`
-keyed by a complete configuration fingerprint (workload spec, full system
-geometry, seed).  By default the store is in-memory — the behaviour the
-bench suite always had — but pointing it at a file (``set_store(path)``
-or the ``REPRO_STORE`` environment variable) makes every result durable
-across invocations.  Batched/parallel execution lives in
-:mod:`repro.analysis.runner`; the functions here are the convenient
-one-at-a-time front door that shares the same store.
+The coherence simulation of one workload is the expensive step.  A JETTY
+never changes coherence behaviour (paper §2.2), so the exhibits simulate
+each workload once, recording its packed event shards as a trace, and
+every filter configuration replays that trace with the ``auto`` (NumPy
+when available) kernel.  Traces, metrics and evaluations are kept in an
+:class:`~repro.analysis.store.ExperimentStore` keyed by a complete
+configuration fingerprint (workload spec, full system geometry, seed).
+Only :func:`run_workload`, the explicit event-stream API, writes
+buffered ``sim`` rows.  By default the store is in-memory — the
+behaviour the bench suite always had — but pointing it at a file
+(``set_store(path)`` or the ``REPRO_STORE`` environment variable) makes
+every result durable across invocations.  Batched/parallel execution
+lives in :mod:`repro.analysis.runner`; the functions here are the
+convenient one-at-a-time front door that shares the same store.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from repro.coherence.config import SCALED_SYSTEM, SystemConfig
 from repro.coherence.metrics import SimResult
 from repro.core.stats import FilterEvaluation
 from repro.energy.accounting import EnergyAccountant, EnergyReduction
+from repro.errors import ConfigurationError
 from repro.traces.workloads import WORKLOADS, get_workload
 
 _STORE: ExperimentStore | None = None
@@ -59,7 +64,13 @@ def run_workload(
     system: SystemConfig = SCALED_SYSTEM,
     seed: int = 1,
 ) -> SimResult:
-    """Simulate one named workload (store-backed; warm hits are free)."""
+    """Simulate one named workload, keeping its event streams.
+
+    The explicit buffered API (store-backed; warm hits are free) and the
+    only writer of ``sim`` rows.  Exhibits that need just counters use
+    :func:`workload_metrics`; filter evaluations use
+    :func:`evaluate_filter`, which records and replays a trace instead.
+    """
     spec = get_workload(name)
     store = get_store()
     key = store_mod.sim_key(spec, system, seed)
@@ -78,12 +89,13 @@ def workload_metrics(
     """Simulation statistics for one workload, without event streams.
 
     The metrics-only front door for exhibits that read counters (tables,
-    stability, energy) but never replay events: it is satisfied by a
-    streamed run's ``sim-metrics`` payload, falls back to a stored
-    buffered recording, and only simulates — in O(chunk) streaming mode —
-    when neither exists.  The numbers are identical to
-    :func:`run_workload`'s by the determinism contract; only the memory
-    profile differs.
+    stability, energy) but never replay events: it is satisfied by the
+    ``sim-metrics`` row that every streamed run and every trace recording
+    (so every :func:`evaluate_filter` miss) writes, then by a
+    :func:`run_workload` ``sim`` row or a recorded trace's manifest, and
+    only simulates — in O(chunk) streaming mode — when none exists.  The
+    numbers are identical to :func:`run_workload`'s by the determinism
+    contract; only the memory profile differs.
     """
     spec = get_workload(name)
     store = get_store()
@@ -113,31 +125,48 @@ def evaluate_filter(
     system: SystemConfig = SCALED_SYSTEM,
     seed: int = 1,
 ) -> FilterEvaluation:
-    """Replay one filter over one workload's event streams (store-backed).
+    """Evaluate one filter over one workload (store-backed).
 
     Each node gets its own freshly built filter; the returned evaluation
-    is the system-wide merge, as the paper reports.
+    is the system-wide merge, as the paper reports.  A stored ``eval``
+    row answers directly.  Otherwise the workload's stored trace is
+    replayed with the ``auto`` kernel; with no trace, the workload is
+    simulated once into a full trace first, so every later filter on it
+    is a replay.  A stored trace that cannot serve this filter (a
+    measured-only recording that did not warm it) is left alone and the
+    filter is evaluated in one live streaming pass instead.
     """
     spec = get_workload(workload)
     store = get_store()
     key = store_mod.eval_key(spec, filter_name, system, seed)
     evaluation = store.get_eval(key)
-    if evaluation is None:
-        # Fast path: a persisted trace of this configuration (recorded by
-        # a replay sweep or a bench prewarm) makes any new filter a cheap
-        # segment replay — no caches, bus, or nodes, and certainly no
-        # re-simulation.
-        evaluation = runner.replay_filter_from_store(
+    if evaluation is not None:
+        return evaluation
+    try:
+        replayed = runner.replay_filter_from_store(
             spec, filter_name, system, seed, experiment_store=store,
         )
-    if evaluation is None:
-        result = run_workload(workload, system, seed)
-        evaluation = runner.compute_eval(result, filter_name, system)
+    except ConfigurationError:
+        # The stored trace cannot serve this filter (a measured-only
+        # recording that did not warm it).  It is the user's recording,
+        # so evaluate live rather than re-record over it.
+        _metrics, evaluations = runner.compute_stream(
+            spec, system, seed, (filter_name,)
+        )
+        evaluation = evaluations[filter_name]
         store.put_eval(
             key, evaluation,
             workload=spec.name, n_cpus=system.n_cpus, seed=seed,
         )
-    return evaluation
+        return evaluation
+    if replayed is None:
+        runner.record_trace(spec, system, seed, experiment_store=store)
+        runner.replay_filter_from_store(
+            spec, filter_name, system, seed, experiment_store=store,
+        )
+    # Read back through the store's decoded cache, so every later call
+    # returns this same object.
+    return store.get_eval(key)
 
 
 def evaluate_filters_streaming(
@@ -152,7 +181,7 @@ def evaluate_filters_streaming(
     The store-backed front door to paper-scale runs: memory stays
     O(chunk_size) however long the trace, and the resulting evaluations
     are byte-identical to (and share store entries with)
-    :func:`evaluate_filter`'s buffered replays.
+    :func:`evaluate_filter`'s trace replays.
     """
     spec = get_workload(workload)
     kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
@@ -178,7 +207,8 @@ def evaluate_filters_replay(
     every later call replay the stored segments — so sweeping new filter
     configurations costs replays only, parallelisable per configuration
     with ``workers``/``backend``.  Results are byte-identical to (and
-    share store entries with) the buffered and streaming modes.
+    share store entries with) :func:`evaluate_filter` and the streaming
+    mode.
     """
     spec = get_workload(workload)
     kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
@@ -213,8 +243,10 @@ def energy_reduction_for(
     seed: int = 1,
 ) -> EnergyReduction:
     """Figure 6's four reduction numbers for one (workload, filter)."""
-    result = workload_metrics(workload, system, seed)
+    # Filter first: its recording stores the metrics row read next, so a
+    # cold store simulates the workload once, not twice.
     evaluation = evaluate_filter(workload, filter_name, system, seed)
+    result = workload_metrics(workload, system, seed)
     return _accountant(system).reduction(result.aggregate, evaluation, filter_name)
 
 
@@ -244,9 +276,10 @@ def summarize_nway(
     miss_fracs = []
     coverages = []
     for name in names:
+        # Filter first, as in energy_reduction_for: one simulation each.
+        coverages.append(coverage_for(name, filter_name, system, seed))
         result = workload_metrics(name, system, seed)
         miss_fracs.append(result.snoop_miss_fraction_of_all)
-        coverages.append(coverage_for(name, filter_name, system, seed))
     return NWaySummary(
         n_cpus=n_cpus,
         snoop_miss_of_all=sum(miss_fracs) / len(miss_fracs),
