@@ -106,6 +106,7 @@ from repro.core.config import build_filter
 from repro.core.stats import (
     FilterEvaluation,
     REPLAY_KERNELS,
+    ShardFanout,
     StreamingFilterBank,
     TraceReader,
     replay_trace,
@@ -273,18 +274,20 @@ def _build_filters(filter_name: str, system: SystemConfig) -> list:
 def _build_bank(
     filter_name: str,
     system: SystemConfig,
-    kernel: str = "python",
+    kernel: str = "auto",
     phase_names: tuple[str, ...] = (),
     filter_states=None,
 ) -> StreamingFilterBank:
-    """One live filter bank: a freshly built filter per node.
+    """One filter bank: a freshly built filter per node.
 
     ``kernel`` selects the replay kernel per node (see
-    :data:`repro.core.stats.REPLAY_KERNELS`).  Live-streaming and
-    checkpointed call sites keep the default ``"python"`` — the vector
-    kernels neither drive live filters nor snapshot; replay call sites
-    pass the caller's choice (``"auto"`` by default).  ``phase_names``
-    labels PHASE-marker splits in the finished evaluations.
+    :data:`repro.core.stats.REPLAY_KERNELS`).  Live, checkpointed and
+    buffered call sites keep the default ``"auto"`` — vectorised where
+    a family and NumPy allow, and checkpoints cross kernels; replay call
+    sites pass the caller's choice.  The one exception is the
+    measured-only recording's warm banks (see :func:`record_trace`).
+    ``phase_names`` labels PHASE-marker splits in the finished
+    evaluations.
 
     ``filter_states`` (one snapshot per node, from a fast-forward row)
     restores warmed state into the filters *before* the bank wires its
@@ -322,7 +325,10 @@ def compute_stream(
     Returns the metrics-only result plus one merged evaluation per
     filter.  Every number is identical to what the buffered
     :func:`compute_sim` + :func:`compute_eval` pair produces — only the
-    memory profile differs (O(chunk_size) instead of O(trace)).
+    memory profile differs (O(chunk_size) instead of O(trace)).  The
+    banks run on the ``auto`` kernel behind one :class:`ShardFanout`:
+    each node's shard is wrapped once and that one segment feeds every
+    bank, as stored segments do in :func:`replay_trace`.
 
     With ``checkpoint_every`` (which requires ``experiment_store``), the
     run snapshots its complete state — caches, write buffers, bus,
@@ -348,12 +354,6 @@ def compute_stream(
         spec, n_cpus=system.n_cpus, seed=seed
     )
     marks, names = _phase_plan(spec)
-    # One StreamingFilterBank per configuration.  (A fused all-filters
-    # bank that decodes each shard once was prototyped and measured
-    # *slower*: replay cost is dominated by the per-filter probe/update
-    # callbacks, and the fused dispatch costs more than the three saved
-    # decode passes.  The tight per-bank loop with hoisted bound methods
-    # is the fastest pure-Python shape found.)
     banks = {
         name: _build_bank(name, system, phase_names=names)
         for name in filter_names
@@ -364,7 +364,7 @@ def compute_stream(
         spec.name,
         warmup=warmup,
         chunk_size=chunk_size,
-        sinks=banks.values(),
+        sinks=[ShardFanout(banks.values())],
         phase_marks=marks,
     )
     return metrics, {name: bank.finish() for name, bank in banks.items()}
@@ -629,7 +629,7 @@ def _run_checkpointed(
         position = 0
         measured = warmup == 0
 
-    consumers = list(banks.values())
+    consumers = [ShardFanout(banks.values())]
     if sink is not None:
         consumers.append(sink)
     # Phase marks strictly below the start position were emitted (and
@@ -1369,8 +1369,11 @@ def record_trace(
         experiment_store.delete_trace(tkey)
         sink = TraceSink(system.n_cpus, write_segment, segment_events)
         families = sorted(set(warm_filters) | set(DEFAULT_SWEEP_FILTERS))
+        # Pinned to python: capture() snapshots the filter objects, which
+        # only this kernel drives — and the stored bytes keep EJ ways.
         warm_banks = {
-            name: _build_bank(name, system) for name in families
+            name: _build_bank(name, system, kernel="python")
+            for name in families
         }
         snapshots: dict[str, list[dict]] = {}
 
@@ -1390,7 +1393,7 @@ def record_trace(
         metrics = simulate_streaming(
             system, stream, spec.name,
             warmup=warmup, chunk_size=chunk_size,
-            warmup_sinks=list(warm_banks.values()),
+            warmup_sinks=[ShardFanout(warm_banks.values())],
             measurement_sinks=[sink],
             on_measurement=capture,
             phase_marks=_phase_plan(spec)[0],
@@ -2066,8 +2069,8 @@ def run_sweep(
 
     ``kernel`` (replay mode only) picks the replay kernel — ``"auto"``
     vectorises supported families when NumPy is importable; results are
-    byte-identical either way.  Streamed and buffered sweeps drive live
-    filters and accept only the default.
+    byte-identical either way.  Streamed and buffered sweeps always run
+    their banks on ``"auto"`` and accept only that.
 
     ``codec`` and ``measured_only`` (replay mode only) shape any *new*
     recording the sweep performs — segment wire format and
@@ -2084,8 +2087,8 @@ def run_sweep(
     if kernel != "auto" and not replay:
         raise ConfigurationError(
             "kernel selection applies to replay sweeps only: streamed "
-            "and buffered sweeps drive live filters through the "
-            "python path"
+            "and buffered sweeps always run their filter banks on the "
+            "auto kernel"
         )
     if (codec != store_mod.DEFAULT_SEGMENT_CODEC or measured_only) and (
         not replay

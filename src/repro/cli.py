@@ -378,7 +378,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.kernel != "auto" and not args.replay:
         print(
             "error: --kernel requires --replay (streamed and buffered "
-            "sweeps drive live filters through the python path)",
+            "sweeps always run their filter banks on the auto kernel)",
             file=sys.stderr,
         )
         return 2

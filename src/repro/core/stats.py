@@ -60,27 +60,35 @@ The replay cross-checks the JETTY safety guarantee on every filtered
 snoop and raises :class:`~repro.errors.FilterSafetyError` on a
 violation.
 
-Replay comes in three shapes sharing one kernel (:class:`EventReplayer`):
+Replay comes in three shapes sharing one replayer interface — the
+per-event :class:`EventReplayer` oracle or a vectorised
+:mod:`repro.core.vector_replay` replayer, chosen per bank by ``kernel``:
 
 * **buffered** — :func:`replay_events` consumes a complete recorded
   :class:`NodeEventStream` after the simulation has finished;
-* **streaming** — a :class:`StreamingFilterBank` is attached to a live
-  simulation (:func:`repro.coherence.smp.simulate_streaming`) and is fed
-  bounded event *shards* as they are produced, so no event is ever
-  retained beyond its shard.  Filter state, the warm-up MARKER reset,
-  and the safety cross-check behave identically in both shapes; feeding
-  a stream's events in one call or split at arbitrary shard boundaries
+* **streaming** — a :class:`ShardFanout` over one or more
+  :class:`StreamingFilterBank` objects is attached to a live simulation
+  (:func:`repro.coherence.smp.simulate_streaming`) and is fed bounded
+  event *shards* as they are produced, so no event is ever retained
+  beyond its shard.  Filter state, the warm-up MARKER reset, and the
+  safety cross-check behave identically in both shapes; feeding a
+  stream's events in one call or split at arbitrary shard boundaries
   yields bit-identical evaluations;
 * **trace replay** — :func:`replay_trace` drives any number of
   :class:`StreamingFilterBank` objects from a :class:`TraceReader` over
   a *persisted* recording (the ``sim-events`` store kind), so a new
   filter configuration costs one cheap replay instead of a full MOESI
-  re-simulation.  No caches, bus, or nodes are instantiated at all;
-  segments are decoded once and shared by every bank.  Because the
-  per-node replayers are independent, feeding node 0's events to
-  completion before node 1's (the trace layout) produces the same
-  evaluation as the live chunk-interleaved order — byte-identical by
-  the same argument that makes shard boundaries invisible.
+  re-simulation.  No caches, bus, or nodes are instantiated at all.
+  Because the per-node replayers are independent, feeding node 0's
+  events to completion before node 1's (the trace layout) produces the
+  same evaluation as the live chunk-interleaved order — byte-identical
+  by the same argument that makes shard boundaries invisible.
+
+Live shards and stored segments reach the banks through one fan-out
+step, :func:`fan_out`: each node's events are wrapped once in a
+:class:`PackedSegment` and that one object feeds every bank, so derived
+arrays (and the IJ lanes an IJ bank shares with an HJ bank) are built
+once per shard or segment.
 """
 
 from __future__ import annotations
@@ -340,8 +348,8 @@ class PackedSegment:
         """The cheapest iterable for a per-event Python replay loop.
 
         Returns the boxed list when one was already materialised (the
-        multi-bank replay case) and the raw sequence otherwise, matching
-        the box-once-iff-shared policy of :func:`replay_trace`.
+        multi-bank case) and the raw sequence otherwise, matching the
+        box-once-iff-shared policy of :func:`fan_out`.
         """
         return self._boxed if self._boxed is not None else self.events
 
@@ -611,15 +619,21 @@ class StreamingFilterBank:
     attached to the same simulation, which is how N filters are evaluated
     in a single pass with O(chunk) memory.
 
+    Several banks attached to one simulation should share a
+    :class:`ShardFanout`, which wraps each node's shard once for all of
+    them; :meth:`consume` is the single-bank form.
+
     ``kernel`` selects the per-node replay engine (:data:`REPLAY_KERNELS`):
     ``"python"`` builds the per-event :class:`EventReplayer` loop for
     every node; ``"numpy"`` and ``"auto"`` ask
     :func:`repro.core.vector_replay.replayer_for` for a vectorised
     replayer per filter, falling back to the per-event loop for filter
     families the vector kernels do not cover.  ``"numpy"`` raises when
-    NumPy is missing, ``"auto"`` silently degrades.  Whatever the
-    kernel, evaluations are byte-identical; only checkpointing
-    (:meth:`snapshot`/:meth:`restore`) requires ``"python"``.
+    NumPy is missing, ``"auto"`` silently degrades.  The class default
+    is the ``"python"`` oracle; the runner builds every bank with
+    ``"auto"``.  Whatever the kernel, evaluations are byte-identical,
+    and :meth:`snapshot`/:meth:`restore` speak one format, so a
+    checkpoint taken on one kernel resumes on the other.
     """
 
     def __init__(
@@ -660,16 +674,22 @@ class StreamingFilterBank:
                 replayer = EventReplayer(snoop_filter, node_id, phase_names)
             self.replayers.append(replayer)
 
-    def consume(self, shard: list[NodeEventStream]) -> None:
-        """Feed one chunk's per-node event shards to the node replayers."""
+    def check_shard(self, shard: list[NodeEventStream]) -> None:
+        """Reject a shard whose node count does not match the bank's."""
         if len(shard) != len(self.replayers):
             raise ValueError(
                 f"shard carries {len(shard)} node stream(s), bank expects "
                 f"{len(self.replayers)} — a metrics-only result has no "
                 "events to replay"
             )
-        for replayer, stream in zip(self.replayers, shard):
-            replayer.feed(stream.events)
+
+    def consume(self, shard: list[NodeEventStream]) -> None:
+        """Feed one chunk's per-node event shards to the node replayers.
+
+        The single-bank form of :class:`ShardFanout`, through the same
+        :func:`fan_out` step.
+        """
+        ShardFanout((self,)).consume(shard)
 
     def feed_node(self, node_id: int, events) -> None:
         """Feed one node's packed events directly (trace-replay path).
@@ -739,33 +759,68 @@ class TraceReader:
         return PackedSegment(self.fetch(node_id, index))
 
 
+def fan_out(banks: list, node_id: int, events) -> None:
+    """Feed one node's batch of packed events to every bank.
+
+    The one fan-out step of live streaming and trace replay: the batch
+    is wrapped once in a :class:`PackedSegment`, so every vectorised
+    replayer reads the same NumPy view and memoised derived arrays.
+    Each event is boxed once when two or more banks will walk the batch
+    with the per-event Python loop: iterating an ``array('q')``
+    allocates a fresh int per element per pass, while a list pass just
+    borrows references.
+    """
+    segment = PackedSegment(events)
+    python_banks = sum(
+        1
+        for bank in banks
+        if isinstance(bank.replayers[node_id], EventReplayer)
+    )
+    if python_banks > 1:
+        segment.boxed()
+    for bank in banks:
+        bank.feed_node(node_id, segment)
+
+
+class ShardFanout:
+    """Shard consumer feeding each live shard to several banks at once.
+
+    Attach one of these instead of the banks themselves to
+    :func:`repro.coherence.smp.simulate_streaming`.  Shards are fed
+    node-major through :func:`fan_out` — node 0's events to every bank,
+    then node 1's — the order trace replay uses too.  Per-node replayers
+    are independent, so evaluations do not depend on the order; only
+    *which* bank raises first can differ when several banks would fail
+    on one shard.
+    """
+
+    __slots__ = ("banks",)
+
+    def __init__(self, banks) -> None:
+        self.banks = list(banks)
+
+    def consume(self, shard: list[NodeEventStream]) -> None:
+        banks = self.banks
+        for bank in banks:
+            bank.check_shard(shard)
+        for node_id, stream in enumerate(shard):
+            fan_out(banks, node_id, stream.events)
+
+
 def replay_trace(reader: TraceReader, banks) -> None:
     """Feed every segment of a recorded trace to the given filter banks.
 
     The record-once / replay-many kernel: each segment is decoded once
-    (by the reader) and fed to every bank, so evaluating F filter
-    configurations against a persisted trace costs one decode pass plus
-    F replay loops — no simulation, no caches, no bus.  Callers collect
-    results with each bank's ``finish()``; the evaluations are
-    byte-identical to live-streamed ones by the determinism contract.
+    (by the reader) and fed to every bank through :func:`fan_out`, so
+    evaluating F filter configurations against a persisted trace costs
+    one decode pass plus F replay loops — no simulation, no caches, no
+    bus.  Callers collect results with each bank's ``finish()``; the
+    evaluations are byte-identical to live-streamed ones by the
+    determinism contract.
     """
     banks = list(banks)
     for node_id, events in reader:
-        segment = PackedSegment(events)
-        # Box each packed event once when two or more banks will walk
-        # the segment with the per-event Python loop: iterating an
-        # array('q') allocates a fresh int per element per pass, while
-        # a list pass just borrows references.  Vectorised replayers
-        # read the NumPy view instead and never need the boxed list.
-        python_banks = sum(
-            1
-            for bank in banks
-            if isinstance(bank.replayers[node_id], EventReplayer)
-        )
-        if python_banks > 1:
-            segment.boxed()
-        for bank in banks:
-            bank.feed_node(node_id, segment)
+        fan_out(banks, node_id, events)
 
 
 def replay_events(

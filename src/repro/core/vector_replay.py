@@ -18,17 +18,18 @@ IJ counter underflow.  The oracle-parity suite
 
 Per family:
 
-* **IJ** — fully vectorised.  A lane's counter value *before* each event
-  is a grouped running sum over events hitting the same counter index:
-  stable-argsort the per-event indexes (cast to ``uint16`` — severalfold
-  faster than sorting ``int64`` keys), cumsum the +1/-1
-  allocate/evict deltas in sorted order, and subtract each group's
-  starting prefix.  Presence (``counter > 0``) at every snoop, pbit
-  transitions, and underflow positions all read off that array.
+* **IJ** — fully vectorised, all lanes at once.  A counter's value
+  *before* each event is a grouped running sum over events hitting the
+  same counter slot: stable-argsort each lane's per-event indexes (cast
+  to ``uint16`` — severalfold faster than sorting ``int64`` keys), lay
+  the lanes end to end, cumsum the +1/-1 allocate/evict deltas in that
+  order, and subtract each group's starting prefix.  Presence
+  (``counter > 0``) at every snoop, pbit transitions, and underflow
+  positions all read off that array.
 * **EJ / VEJ** — the per-set LRU stacks are inherently sequential, but
   the *observable* state of a set is only the recency-ordered list of
-  valid entries (way indexes are never reported and replay never
-  snapshots), so each set collapses to a bounded MRU-first list and the
+  valid entries (way indexes are never reported; snapshots place them
+  canonically), so each set collapses to a bounded MRU-first list and the
   loop runs over pre-extracted (block, code) Python lists with no
   per-event decode or method dispatch.  Consecutive same-set, same-block
   P0 snoops are provably pure repeat-hits (the first leaves the entry at
@@ -41,15 +42,23 @@ Per family:
   pre-span copies and re-runs the span in original order, so the
   flushed post-mortem statistics match the oracle exactly.
 
-Every replayer *imports* the wrapped filter's current storage state at
-construction (freshly built filters are empty, so the cold path is
-unchanged).  This is what lets measured-region-only traces replay from
-a restored fast-forward snapshot: the runner restores the warmed state
-into the filter objects and the kernels pick it up from there.
 * **HJ** — the IJ component is vectorised as above; its pass verdict per
   snoop feeds the exclude-component loop, which also handles HJ's
   filtered accounting.  Both ``HJ(IJ, EJ)`` and ``HJ(IJ, VEJ)`` are
   supported.
+
+**Filter state in and out.**  Every replayer *imports* the wrapped
+filter's current storage state and event counts at construction
+(freshly built filters are empty, so the cold path is unchanged).  This
+is what lets measured-region-only traces replay from a restored
+fast-forward snapshot: the runner restores the warmed state into the
+filter objects and the kernels pick it up from there.  ``snapshot()``
+is the inverse: it exports the private stacks, dicts and lane counters
+in the python kernel's exact dict shape (:meth:`EventReplayer.snapshot`
+around :meth:`SnoopFilter.snapshot`), with valid exclude entries placed
+in ways ``0..k-1`` in MRU-first order — way placement is unobservable,
+recency is kept.  ``restore()`` restores the filter object and
+re-imports it, so checkpoints cross kernels in both directions.
 
 Everything else (hashed-include, null filters, oversized geometries,
 subclasses) falls back to the per-event loop — selection happens in
@@ -76,7 +85,7 @@ from repro.core.stats import (
     phases_from_marks,
 )
 from repro.core.vector_exclude import VectorExcludeJetty
-from repro.errors import CoherenceError, ConfigurationError, FilterSafetyError
+from repro.errors import CoherenceError, FilterSafetyError
 
 try:  # pragma: no cover - exercised via the numpy-free CI job
     import numpy as _np
@@ -219,41 +228,6 @@ def _span_pairs(
     return segment.shared(("pairs", lo, hi, pre_shift, set_mask), build)
 
 
-def _lane_profile(
-    segment: PackedSegment, lo: int, hi: int, shift: int, entry_bits: int
-):
-    """State-independent running-sum profile of one IJ lane over a span.
-
-    Returns ``(idx, order, idx_s, rel_s)`` where ``idx`` is each event's
-    counter index, ``order``/``idx_s`` the stable sort by index, and
-    ``rel_s[i]`` the net +1/-1 delta of *earlier same-index events in
-    this span* — so a lane's counter value before sorted event ``i`` is
-    ``counters[idx_s[i]] + rel_s[i]`` whatever the carried-in counters
-    are.  Keyed only on geometry, the profile is shared between an IJ
-    bank and any HJ bank wrapping the same IJ configuration.
-    """
-
-    def build():
-        s = _span_stats(segment, lo, hi)
-        m = (1 << entry_bits) - 1
-        idx = ((s["blocks"] >> shift) & m).astype(_np.uint16)
-        order = _np.argsort(idx, kind="stable")
-        idx_s = idx[order]
-        d_s = s["delta"][order]
-        cs = _np.cumsum(d_s)
-        excl = cs - d_s  # prefix sum excluding the event itself
-        n = idx_s.size
-        first = _np.empty(n, dtype=bool)
-        first[0] = True
-        _np.not_equal(idx_s[1:], idx_s[:-1], out=first[1:])
-        fpos = _np.flatnonzero(first)
-        reps = _np.diff(_np.append(fpos, n))
-        rel_s = excl - _np.repeat(excl[fpos], reps)
-        return idx, order, idx_s, rel_s
-
-    return segment.shared(("lane", lo, hi, shift, entry_bits), build)
-
-
 def _warm_stacks(exclude: ExcludeJetty) -> list[list[int]]:
     """Per-set MRU-first stacks importing an EJ's current contents.
 
@@ -289,13 +263,50 @@ def _warm_vectors(exclude: VectorExcludeJetty) -> list[dict[int, int]]:
     return vectors
 
 
+def _stack_state(stacks: list[list[int]], ways: int) -> dict:
+    """EJ ``_snapshot_state`` of per-set stacks (inverts :func:`_warm_stacks`).
+
+    The MRU-first valid entries fill ways ``0..k-1`` and the LRU order
+    is ``0..ways-1``, so recency survives and the invalid ways trail.
+    """
+    return {
+        "tags": [stack + [None] * (ways - len(stack)) for stack in stacks],
+        "lru": [list(range(ways)) for _ in stacks],
+    }
+
+
+def _vectors_state(vectors: list[dict[int, int]], ways: int) -> dict:
+    """VEJ ``_snapshot_state`` of per-set dicts (inverts ``_warm_vectors``).
+
+    Dicts hold entries LRU first; ways ``0..k-1`` take them MRU first
+    under the identity LRU order, and invalid ways carry vector 0, as
+    the filter leaves them.
+    """
+    chunks, vecs = [], []
+    for entries in vectors:
+        pad = ways - len(entries)
+        chunks.append(list(reversed(entries)) + [None] * pad)
+        vecs.append(list(reversed(entries.values())) + [0] * pad)
+    return {
+        "chunks": chunks,
+        "vectors": vecs,
+        "lru": [list(range(ways)) for _ in vectors],
+    }
+
+
+def _filter_state(name: str, counts: FilterEventCounts, state) -> dict:
+    """One filter's :meth:`SnoopFilter.snapshot` dict."""
+    return {"name": name, "counts": vars(counts).copy(), "state": state}
+
+
 class _IncludeLanes:
     """The vectorised counter machinery of one :class:`IncludeJetty`.
 
-    Owns the persistent per-lane counter arrays (the only IJ state) and
-    evaluates whole spans: per-event pre-values, the ANDed presence
-    verdict at snoops, pbit-transition counts, underflow detection, and
-    the end-of-span counter commit.
+    Owns the persistent lane counters (the only IJ state), held as one
+    flat array in which lane ``i`` owns slots ``[i*size, (i+1)*size)``,
+    and evaluates whole spans for all lanes at once: per-event
+    pre-values, the ANDed presence verdict at snoops, pbit-transition
+    counts, underflow detection, and the end-of-span counter commit.
 
     The whole span evaluation is memoised on the segment under a key
     that names the lane geometry *and* the event history folded into
@@ -307,25 +318,28 @@ class _IncludeLanes:
     """
 
     __slots__ = (
-        "include", "_counters", "_events", "_allocs", "_evicts", "_seed"
+        "include", "_counters", "_shifts", "_offsets",
+        "_events", "_allocs", "_evicts", "_seed",
     )
 
     def __init__(self, include: IncludeJetty) -> None:
         self.include = include
         # Import the wrapped filter's current counters: zeros for a
         # freshly built IJ, the warmed lanes for a fast-forwarded one.
-        self._counters = [
-            _np.asarray(counters, dtype=_np.int32)
-            for counters in include._counters
-        ]
+        self._counters = _np.asarray(
+            include._counters, dtype=_np.int32
+        ).reshape(-1)
+        size = 1 << include.entry_bits
+        self._shifts = _np.asarray(include._shifts)[:, None]
+        self._offsets = (
+            _np.arange(include.n_arrays, dtype=_np.int32) * size
+        )[:, None]
         # Committed-history fingerprint, part of the sharing key: equal
         # geometry + equal *initial state* + equal history => equal
         # counter state.  The seed digest distinguishes warm starts —
         # all cold lanes of one geometry share one digest, so the
         # IJ-and-HJ sharing of cold replays is untouched.
-        self._seed = hashlib.sha256(
-            b"".join(counters.tobytes() for counters in self._counters)
-        ).hexdigest()[:16]
+        self._seed = hashlib.sha256(self._counters.tobytes()).hexdigest()[:16]
         self._events = 0
         self._allocs = 0
         self._evicts = 0
@@ -336,9 +350,10 @@ class _IncludeLanes:
         ``all_pass[i]`` — every lane counter nonzero before event ``i``
         (meaningful at snoop positions); ``under_k`` — span position of
         the first underflowing EVICT, or -1; ``pbw`` — presence-bit
-        transitions over the whole span; ``deltas`` — per-lane counter
-        deltas for :meth:`commit`.  ``all_pass`` values after an
-        underflow position are garbage; callers never read past it.
+        transitions over the whole span; ``delta`` — the slot-wise counter
+        delta for :meth:`commit`; ``filtered_m``/``n_filtered`` — the
+        snoops the IJ filters.  Values after an underflow position are
+        garbage; callers never read past it.
         """
         include = self.include
         key = (
@@ -350,49 +365,65 @@ class _IncludeLanes:
         def build() -> dict:
             s = _span_stats(segment, lo, hi)
             alloc_m, evict_m = s["alloc_m"], s["evict_m"]
-            size = self._counters[0].size
-            all_pass = None
-            pres = []
-            idxs = []
-            for counters, shift in zip(self._counters, include._shifts):
-                idx, order, idx_s, rel_s = _lane_profile(
-                    segment, lo, hi, shift, include.entry_bits
-                )
-                pre_s = counters[idx_s] + rel_s
-                pre = _np.empty_like(pre_s)
-                pre[order] = pre_s
-                ok = pre > 0
-                all_pass = ok if all_pass is None else all_pass & ok
-                pres.append(pre)
-                idxs.append(idx)
+            lanes = include.n_arrays
+            n = hi - lo
+            # int32 throughout: narrower temporaries keep the allocator's
+            # high-water mark down on live shards.
+            index = (
+                (s["blocks"] >> self._shifts) & include._index_mask
+            ).astype(_np.int32)
+            # Lane-major slots, stably sorted so each slot's events sit
+            # together in stream order.  Sorting lane by lane on 16-bit
+            # indexes is faster than one sort over all lanes' slots.
+            orders = []
+            for i, lane in enumerate(index):
+                lane_order = lane.astype(_np.uint16).argsort(kind="stable")
+                orders.append(lane_order.astype(_np.int32) + i * n)
+            order = _np.concatenate(orders)
+            slots_s = (index + self._offsets).reshape(-1)[order]
+            d_s = _np.tile(s["delta"], lanes)[order]
+            first = _np.empty(slots_s.size, dtype=bool)
+            first[0] = True
+            _np.not_equal(slots_s[1:], slots_s[:-1], out=first[1:])
+            starts = first.nonzero()[0]
+            counts = _np.diff(starts, append=slots_s.size)
+            # Net delta of each event's earlier same-slot events: the
+            # running sum before it minus the one before its group.
+            excl = d_s.cumsum(dtype=_np.int32) - d_s
+            rel_s = excl - _np.repeat(excl[starts], counts)
+            pre = _np.empty(slots_s.size, dtype=_np.int32)
+            pre[order] = self._counters[slots_s] + rel_s
+            pre = pre.reshape(lanes, n)
+            all_pass = (pre > 0).all(axis=0)
             under_k = -1
             if s["n_evicts"]:
-                under = None
-                for pre in pres:
-                    zero = evict_m & (pre == 0)
-                    under = zero if under is None else under | zero
-                where = _np.flatnonzero(under)
-                if where.size:
-                    under_k = int(where[0])
-            pbw = 0
-            for pre in pres:
-                pbw += int((alloc_m & (pre == 0)).sum())
-                pbw += int((evict_m & (pre == 1)).sum())
-            deltas = [
-                (
-                    _np.bincount(idx[alloc_m], minlength=size)
-                    - _np.bincount(idx[evict_m], minlength=size)
-                ).astype(_np.int32)
-                for idx in idxs
-            ]
+                under = (evict_m & (pre == 0).any(axis=0)).nonzero()[0]
+                if under.size:
+                    under_k = int(under[0])
+            pbw = int(
+                _np.count_nonzero(alloc_m & (pre == 0))
+                + _np.count_nonzero(evict_m & (pre == 1))
+            )
+            # Each touched slot's net delta: its group's sum.
+            ends = starts + counts - 1
+            delta = _np.zeros(self._counters.size, dtype=_np.int32)
+            delta[slots_s[starts]] = excl[ends] + d_s[ends] - excl[starts]
+            filtered_m = s["snoop_m"] & ~all_pass
             return {
                 "all_pass": all_pass,
+                "filtered_m": filtered_m,
+                "n_filtered": int(_np.count_nonzero(filtered_m)),
                 "under_k": under_k,
                 "pbw": pbw,
-                "deltas": deltas,
+                "delta": delta,
             }
 
         return segment.shared(key, build)
+
+    def state(self) -> dict:
+        """IJ ``_snapshot_state``: inverse of the constructor's import."""
+        lanes = self.include.n_arrays
+        return {"counters": self._counters.reshape(lanes, -1).tolist()}
 
     def underflow_error(self, block: int) -> CoherenceError:
         return CoherenceError(
@@ -402,8 +433,7 @@ class _IncludeLanes:
 
     def commit(self, s: dict, span: dict) -> None:
         """Fold the span's allocate/evict deltas into the lane counters."""
-        for counters, delta in zip(self._counters, span["deltas"]):
-            counters += delta
+        self._counters += span["delta"]
         self._events += (
             s["n_snoops"] + s["n_allocs"] + s["n_evicts"]
         )
@@ -420,13 +450,13 @@ class VectorReplayer:
     """Base vector replayer: marker splitting, flushing, error parity.
 
     Mirrors the :class:`~repro.core.stats.EventReplayer` surface
-    (``feed`` / ``feed_segment`` / ``finish``) so
-    :class:`~repro.core.stats.StreamingFilterBank` can hold either
-    interchangeably.  The wrapped filter object is *never driven* — the
-    replayer keeps private state and synthesises the
-    :class:`FilterEventCounts` itself, so the filter's own ``counts``
-    stay zero.  Checkpointing is unsupported (checkpointed paths use the
-    Python kernel), and :meth:`snapshot`/:meth:`restore` say so loudly.
+    (``feed`` / ``feed_segment`` / ``finish`` / ``snapshot`` /
+    ``restore``) so :class:`~repro.core.stats.StreamingFilterBank` can
+    hold either interchangeably.  The wrapped filter object is *never
+    driven* — the replayer imports its state and counts once
+    (:meth:`_import_filter`), keeps private state, and synthesises the
+    :class:`FilterEventCounts` itself.  Snapshots are the oracle's dicts,
+    so a checkpoint taken on either kernel restores on the other.
     """
 
     def __init__(
@@ -437,12 +467,30 @@ class VectorReplayer:
         self.stats = CoverageStats()
         self.allocs = 0
         self.evicts = 0
-        self.counts = FilterEventCounts()
         self.phase_names = tuple(phase_names)
         #: ``(phase_index, cumulative totals)`` at each PHASE marker —
         #: the same snapshot shape the oracle keeps, so both kernels
         #: derive their per-phase splits through one builder.
         self._phase_marks: list = []
+        self._import_filter()
+
+    def _import_filter(self) -> None:
+        """Adopt the wrapped filter's storage state and event counts.
+
+        Subclasses extend this with their family's storage import; the
+        counts copy is what the oracle would keep accumulating into.
+        """
+        self.counts = FilterEventCounts(
+            **vars(self.snoop_filter.energy_counts())
+        )
+
+    def _reset_counts(self) -> None:
+        """The warm-up MARKER's count reset (``SnoopFilter.reset_counts``)."""
+        self.counts = FilterEventCounts()
+
+    def _filter_snapshot(self) -> dict:
+        """The wrapped filter's :meth:`SnoopFilter.snapshot` dict, now."""
+        raise NotImplementedError
 
     def feed(self, events) -> None:
         """Consume one batch of packed events (any iterable shape)."""
@@ -483,7 +531,7 @@ class VectorReplayer:
             else:  # warm-up MARKER: statistics restart, state persists.
                 self.stats = CoverageStats()
                 self.allocs = self.evicts = 0
-                self.counts = FilterEventCounts()
+                self._reset_counts()
                 self._phase_marks.clear()
             lo = marker + 1
         if n > lo:
@@ -509,16 +557,35 @@ class VectorReplayer:
         )
 
     def snapshot(self) -> dict:
-        raise ConfigurationError(
-            "the numpy replay kernel does not support checkpointing; "
-            "use the python kernel"
-        )
+        """Replay state in :meth:`EventReplayer.snapshot`'s exact shape."""
+        state = {
+            "stats": vars(self.stats).copy(),
+            "allocs": self.allocs,
+            "evicts": self.evicts,
+            "filter": self._filter_snapshot(),
+        }
+        if self._phase_marks:
+            state["phases"] = [
+                [index, list(totals)] for index, totals in self._phase_marks
+            ]
+        return state
 
-    def restore(self, state) -> None:
-        raise ConfigurationError(
-            "the numpy replay kernel does not support checkpointing; "
-            "use the python kernel"
-        )
+    def restore(self, state: dict) -> None:
+        """Adopt a snapshot taken on either kernel.
+
+        The filter object restores first and the replayer re-imports it,
+        exactly as construction does — which also re-seeds the IJ lanes'
+        sharing key, so banks restored from one checkpoint share again.
+        """
+        self.snoop_filter.restore(state["filter"])
+        self._import_filter()
+        self.stats = CoverageStats(**state["stats"])
+        self.allocs = state["allocs"]
+        self.evicts = state["evicts"]
+        self._phase_marks = [
+            (index, tuple(totals))
+            for index, totals in state.get("phases", ())
+        ]
 
     # -- shared accounting helpers -------------------------------------
 
@@ -563,17 +630,20 @@ class VectorReplayer:
 class _IncludeReplayer(VectorReplayer):
     """Fully vectorised IJ replay — no per-event Python loop at all."""
 
-    def __init__(
-        self, snoop_filter: IncludeJetty, node_id: int, phase_names=()
-    ) -> None:
-        super().__init__(snoop_filter, node_id, phase_names)
-        self._lanes = _IncludeLanes(snoop_filter)
+    def _import_filter(self) -> None:
+        super()._import_filter()
+        self._lanes = _IncludeLanes(self.snoop_filter)
+
+    def _filter_snapshot(self) -> dict:
+        return _filter_state(
+            self.snoop_filter.name, self.counts, self._lanes.state()
+        )
 
     def _span(self, segment: PackedSegment, lo: int, hi: int) -> None:
         s = _span_stats(segment, lo, hi)
         lanes = self._lanes
         sp = lanes.span(segment, lo, hi)
-        filtered_m = s["snoop_m"] & ~sp["all_pass"]
+        filtered_m = sp["filtered_m"]
         viol_k = -1
         viol = _np.flatnonzero(filtered_m & s["pbit"])
         if viol.size:
@@ -587,7 +657,7 @@ class _IncludeReplayer(VectorReplayer):
         if under_k >= 0:
             self._flush_prefix(s, under_k, int(filtered_m[:under_k].sum()))
             raise lanes.underflow_error(int(s["blocks"][under_k]))
-        filtered = int(filtered_m.sum())
+        filtered = sp["n_filtered"]
         self._flush_span(s, filtered)
         counts = self.counts
         counts.probes += s["n_snoops"]
@@ -710,9 +780,9 @@ class _ExcludeReplayer(_ExcludeLoopReplayer):
     """EJ replay: per-set bounded MRU stacks over pre-extracted items.
 
     A stack holds the set's valid blocks in recency order; that is the
-    whole observable state — way placement only matters to snapshots,
-    which replay never takes.  Insertion on a full set pops the list
-    tail (the LRU entry), allocation removes the block wherever it sits
+    whole observable state — snapshots place the entries in canonical
+    ways (see :func:`_stack_state`).  Insertion on a full set pops the
+    list tail (the LRU entry), allocation removes the block wherever it sits
     (the concrete array keeps the way's recency slot, but a slot only
     becomes observable once re-filled, at MRU).
     """
@@ -722,7 +792,16 @@ class _ExcludeReplayer(_ExcludeLoopReplayer):
     ) -> None:
         super().__init__(snoop_filter, node_id, phase_names)
         self._dedup_mask = snoop_filter._index_mask
-        self._stacks = _warm_stacks(snoop_filter)
+
+    def _import_filter(self) -> None:
+        super()._import_filter()
+        self._stacks = _warm_stacks(self.snoop_filter)
+
+    def _filter_snapshot(self) -> dict:
+        ej = self.snoop_filter
+        return _filter_state(
+            ej.name, self.counts, _stack_state(self._stacks, ej.ways)
+        )
 
     @staticmethod
     def _group_ej(stack: list, blist, clist, ways: int):
@@ -844,7 +923,16 @@ class _VectorExcludeReplayer(_ExcludeLoopReplayer):
         super().__init__(snoop_filter, node_id, phase_names)
         self._dedup_pre_shift = snoop_filter._vec_shift
         self._dedup_mask = snoop_filter._index_mask
-        self._vectors = _warm_vectors(snoop_filter)
+
+    def _import_filter(self) -> None:
+        super()._import_filter()
+        self._vectors = _warm_vectors(self.snoop_filter)
+
+    def _filter_snapshot(self) -> dict:
+        vej = self.snoop_filter
+        return _filter_state(
+            vej.name, self.counts, _vectors_state(self._vectors, vej.ways)
+        )
 
     @staticmethod
     def _group_vej(vecs: dict, blist, clist, vshift, vmask, ways):
@@ -991,21 +1079,71 @@ class _HybridReplayer(_ExcludeLoopReplayer):
     An IJ underflow truncates the loop at the underflow position so the
     oracle's first-error-wins ordering holds: a safety violation earlier
     in the span raises first, one later never gets the chance.
+
+    Snapshots also need the components' own ``filtered`` counts, which
+    the energy counts do not carry: ``_ij_filtered`` (snoops the IJ
+    filters) and ``_ej_filtered`` (snoops that hit the exclude side).
     """
 
     def __init__(
         self, snoop_filter: HybridJetty, node_id: int, phase_names=()
     ) -> None:
-        super().__init__(snoop_filter, node_id, phase_names)
         exclude = snoop_filter.exclude
-        self._lanes = _IncludeLanes(snoop_filter.include)
         self._vej = type(exclude) is VectorExcludeJetty
+        super().__init__(snoop_filter, node_id, phase_names)
         if self._vej:
             self._dedup_pre_shift = exclude._vec_shift
+        self._dedup_mask = exclude._index_mask
+
+    def _import_filter(self) -> None:
+        super()._import_filter()
+        include, exclude = self.snoop_filter.include, self.snoop_filter.exclude
+        self._lanes = _IncludeLanes(include)
+        if self._vej:
             self._vectors = _warm_vectors(exclude)
         else:
             self._stacks = _warm_stacks(exclude)
-        self._dedup_mask = exclude._index_mask
+        self._ij_filtered = include.counts.filtered
+        self._ej_filtered = exclude.counts.filtered
+
+    def _reset_counts(self) -> None:
+        super()._reset_counts()
+        self._ij_filtered = self._ej_filtered = 0
+
+    def _filter_snapshot(self) -> dict:
+        include, exclude = self.snoop_filter.include, self.snoop_filter.exclude
+        counts = self.counts
+        exclude_state = (
+            _vectors_state(self._vectors, exclude.ways) if self._vej
+            else _stack_state(self._stacks, exclude.ways)
+        )
+        # Both components are probed on every HJ snoop; storage updates
+        # live in the components, the hybrid itself counts only lookups.
+        return _filter_state(
+            self.snoop_filter.name,
+            FilterEventCounts(probes=counts.probes, filtered=counts.filtered),
+            {
+                "include": _filter_state(
+                    include.name,
+                    FilterEventCounts(
+                        probes=counts.probes,
+                        filtered=self._ij_filtered,
+                        cnt_updates=counts.cnt_updates,
+                        pbit_writes=counts.pbit_writes,
+                    ),
+                    self._lanes.state(),
+                ),
+                "exclude": _filter_state(
+                    exclude.name,
+                    FilterEventCounts(
+                        probes=counts.probes,
+                        filtered=self._ej_filtered,
+                        entry_writes=counts.entry_writes,
+                    ),
+                    exclude_state,
+                ),
+            },
+        )
 
     def _span(self, segment: PackedSegment, lo: int, hi: int) -> None:
         s = _span_stats(segment, lo, hi)
@@ -1034,7 +1172,7 @@ class _HybridReplayer(_ExcludeLoopReplayer):
         b_s, code_s, ok_s = groups["b"], groups["code"], groups["ok"]
         exclude = self.snoop_filter.exclude
         state = self._vectors if self._vej else self._stacks
-        entry_writes = filtered = 0
+        entry_writes = filtered = ej_hits = 0
         touched = []
         violated = False
         for gi, g in enumerate(groups["gids"]):
@@ -1058,6 +1196,7 @@ class _HybridReplayer(_ExcludeLoopReplayer):
                 break
             entry_writes += res[0]
             filtered += res[1]
+            ej_hits += res[2]
         if violated:
             for g, saved in touched:
                 state[g] = saved
@@ -1075,8 +1214,12 @@ class _HybridReplayer(_ExcludeLoopReplayer):
             self._flush_prefix(s, under_k, filtered)
             raise lanes.underflow_error(int(s["blocks"][under_k]))
         if dup_pos is not None:
+            # Every deduplicated repeat is an exclude-side hit.
             filtered += dup_pos.size
+            ej_hits += dup_pos.size
         self._flush_span(s, filtered)
+        self._ij_filtered += sp["n_filtered"]
+        self._ej_filtered += ej_hits
         counts = self.counts
         counts.probes += s["n_snoops"]
         counts.filtered += filtered
@@ -1089,22 +1232,26 @@ class _HybridReplayer(_ExcludeLoopReplayer):
 
     @staticmethod
     def _group_hej(stack: list, blist, clist, oklist, ways: int):
-        """One set's items through the HJ(EJ) machine; None = violation."""
-        entry_writes = filtered = 0
+        """One set's items through the HJ(EJ) machine; None = violation.
+
+        Returns ``(entry_writes, filtered, ej_hits)``; the hybrid filters
+        on an exclude hit or, failing that, an IJ miss.
+        """
+        entry_writes = ej_hits = ij_only = 0
         for b, c, ok in zip(blist, clist, oklist):
             if c == 0:  # P0 snoop
                 if b in stack:  # EJ hit filters the hybrid, IJ moot
                     if stack[0] != b:
                         stack.remove(b)
                         stack.insert(0, b)
-                    filtered += 1
+                    ej_hits += 1
                 elif ok:  # both passed: the outcome allocates an entry
                     if len(stack) == ways:
                         stack.pop()
                     stack.insert(0, b)
                     entry_writes += 1
                 else:  # IJ filtered; EJ learns nothing
-                    filtered += 1
+                    ij_only += 1
             elif c == 2:  # alloc
                 if b in stack:
                     stack.remove(b)
@@ -1112,12 +1259,15 @@ class _HybridReplayer(_ExcludeLoopReplayer):
             else:  # P1 snoop: filtering from either side is a violation
                 if b in stack or not ok:
                     return None
-        return entry_writes, filtered
+        return entry_writes, ej_hits + ij_only, ej_hits
 
     @staticmethod
     def _group_hvej(vecs: dict, blist, clist, oklist, vshift, vmask, ways):
-        """One set's items through the HJ(VEJ) machine; None = violation."""
-        entry_writes = filtered = 0
+        """One set's items through the HJ(VEJ) machine; None = violation.
+
+        Returns ``(entry_writes, filtered, ej_hits)`` like ``_group_hej``.
+        """
+        entry_writes = ej_hits = ij_only = 0
         for b, c, ok in zip(blist, clist, oklist):
             chunk = b >> vshift
             if c == 0:  # P0 snoop
@@ -1126,20 +1276,20 @@ class _HybridReplayer(_ExcludeLoopReplayer):
                     bit = 1 << (b & vmask)
                     if vector & bit:
                         vecs[chunk] = vector
-                        filtered += 1
+                        ej_hits += 1
                     elif ok:
                         vecs[chunk] = vector | bit
                         entry_writes += 1
                     else:  # IJ filtered; the touch still happened
                         vecs[chunk] = vector
-                        filtered += 1
+                        ij_only += 1
                 elif ok:
                     if len(vecs) == ways:
                         del vecs[next(iter(vecs))]
                     vecs[chunk] = 1 << (b & vmask)
                     entry_writes += 1
                 else:
-                    filtered += 1
+                    ij_only += 1
             elif c == 2:  # alloc
                 vector = vecs.get(chunk)
                 if vector is not None:
@@ -1157,7 +1307,7 @@ class _HybridReplayer(_ExcludeLoopReplayer):
                         return None
                 if not ok:
                     return None
-        return entry_writes, filtered
+        return entry_writes, ej_hits + ij_only, ej_hits
 
     def _loop_ej(self, blist, clist, oklist):
         stacks = self._stacks

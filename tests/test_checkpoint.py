@@ -32,6 +32,7 @@ from repro.coherence.cache import L1Cache, SetAssocCache
 from repro.coherence.config import CacheConfig, SCALED_SYSTEM
 from repro.coherence.smp import SMPSystem, TraceSink
 from repro.coherence.writebuffer import WriteBuffer
+from repro.core import vector_replay
 from repro.core.config import build_filter
 from repro.core.stats import EventReplayer, pack_event, SNOOP
 from repro.errors import ConfigurationError, TraceError
@@ -409,6 +410,87 @@ class TestStreamKillResumeByteIdentity:
                 [SPEC.name], ["EJ-8x2"], experiment_store=ExperimentStore(),
                 checkpoint_every=100,
             )
+
+
+# ----------------------------------------------------------------------
+# Checkpoints across replay kernels
+# ----------------------------------------------------------------------
+
+#: The families the vector kernels cover, both hybrid flavours included.
+VECTOR_FAMILIES = (
+    "EJ-8x2",
+    "VEJ-16x2-4",
+    "IJ-6x2x3",
+    "HJ(IJ-6x2x3, EJ-8x2)",
+    "HJ(IJ-6x2x3, VEJ-16x2-4)",
+)
+
+
+_BUILD_BANK = runner._build_bank
+
+
+def _pin_kernel(monkeypatch, kernel: str, built: list) -> None:
+    """Build every runner bank on ``kernel``, remembering each one."""
+
+    def pinned(name, system, **kwargs):
+        kwargs["kernel"] = kernel
+        built.append(_BUILD_BANK(name, system, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(runner, "_build_bank", pinned)
+
+
+@pytest.mark.skipif(
+    not vector_replay.numpy_available(), reason="the vector kernels need NumPy"
+)
+class TestCrossKernelResume:
+    """Checkpointed streams run their banks on ``auto``; a chain written
+    by one kernel resumes on the other with byte-identical results."""
+
+    def _kill_then_resume(self, monkeypatch, filters, first, second):
+        jobs = [runner.StreamJob(SPEC.name, filters, SCALED_SYSTEM, 1, 512)]
+        clean = ExperimentStore()
+        runner.execute_streams(jobs, experiment_store=clean, specs=SPECS)
+        interrupted = ExperimentStore()
+        built = {first: [], second: []}
+        _pin_kernel(monkeypatch, first, built[first])
+        with kill_after_checkpoints(interrupted, 1):
+            with pytest.raises(KeyboardInterrupt):
+                runner.execute_streams(
+                    jobs, experiment_store=interrupted, specs=SPECS,
+                    checkpoint_every=1_300,
+                )
+        _pin_kernel(monkeypatch, second, built[second])
+        report = runner.execute_streams(
+            jobs, experiment_store=interrupted, specs=SPECS,
+            checkpoint_every=1_300,
+        )
+        assert report.checkpoints_resumed == 1
+        assert interrupted.dump() == clean.dump()
+        return built
+
+    @pytest.mark.parametrize(
+        "first, second", (("python", "auto"), ("auto", "python"))
+    )
+    @pytest.mark.parametrize("filter_name", VECTOR_FAMILIES)
+    def test_chain_resumes_on_the_other_kernel(
+        self, monkeypatch, filter_name, first, second
+    ):
+        built = self._kill_then_resume(
+            monkeypatch, (filter_name,), first, second
+        )
+        for bank in built["auto"]:
+            assert not any(
+                isinstance(r, EventReplayer) for r in bank.replayers
+            )
+        for bank in built["python"]:
+            assert all(isinstance(r, EventReplayer) for r in bank.replayers)
+
+    def test_ij_and_hj_banks_resume_from_one_checkpoint(self, monkeypatch):
+        """Both banks restore from one chain row and share lanes again."""
+        self._kill_then_resume(
+            monkeypatch, ("HJ(IJ-6x2x3, EJ-8x2)", "IJ-6x2x3"), "auto", "auto"
+        )
 
 
 # ----------------------------------------------------------------------

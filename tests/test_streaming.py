@@ -28,7 +28,17 @@ from repro.analysis import store as store_mod
 from repro.analysis.store import ExperimentStore
 from repro.coherence.config import CacheConfig, SCALED_SYSTEM, SystemConfig
 from repro.coherence.smp import SMPSystem, simulate, simulate_streaming
-from repro.core.stats import KIND_MASK, MARKER, NodeEventStream
+from repro.core import vector_replay
+from repro.core.stats import (
+    EVICT,
+    EventReplayer,
+    KIND_MASK,
+    MARKER,
+    NodeEventStream,
+    SNOOP,
+    pack_event,
+)
+from repro.errors import CoherenceError, FilterSafetyError, ReproError
 from repro.traces.synth import MixStream
 from repro.traces.workloads import (
     WORKLOADS,
@@ -46,6 +56,11 @@ from tests.test_golden_metrics import CASES, GOLDEN_WORKLOADS, golden_path
 CHUNK_SIZES = (512, 1777, 1_000_000)
 
 _PAPER = PaperReference(1.0, 1.0, 0.9, 0.5, 1.0, (1.0, 0.0, 0.0, 0.0), 1.0, 0.5)
+
+requires_numpy = pytest.mark.skipif(
+    not vector_replay.numpy_available(),
+    reason="the vector kernels need NumPy",
+)
 
 SWEEP_WORKLOAD = "test-stream-sweep"
 SWEEP_FILTERS = ("EJ-8x2", "VEJ-16x2-4")
@@ -215,6 +230,180 @@ class TestShardProtocol:
         assert metrics.event_streams == []
         with pytest.raises(ValueError, match="metrics-only"):
             runner.compute_eval(metrics, "EJ-8x2", SCALED_SYSTEM)
+
+
+# ----------------------------------------------------------------------
+# Live banks on the auto kernel vs the python-kernel live oracle
+# ----------------------------------------------------------------------
+
+#: One member of each vectorised family plus the per-event-only ones,
+#: all in *one* pass so vector and python banks share each segment.
+LIVE_FILTERS = (
+    "EJ-16x2",
+    "VEJ-16x2-4",
+    "IJ-8x4x7",
+    "HJ(IJ-8x4x7, EJ-16x2)",
+    "HJ(IJ-8x4x7, VEJ-16x2-4)",
+    "null",
+    "oracle",
+    "HIJ-10x2",
+)
+
+LIVE_SPEC = WorkloadSpec(
+    name="test-live-parity",
+    abbrev="tl",
+    description="miniature workload for live kernel parity tests",
+    paper=_PAPER,
+    n_accesses=1_500,
+    warmup_accesses=400,
+    repeat_frac=0.2,
+    recipe=(
+        ("streaming", dict(weight=0.6, partition_bytes=64 * 1024)),
+        ("migratory", dict(weight=0.4, n_objects=16)),
+    ),
+)
+
+
+def _oracle_banks(spec, filters) -> dict:
+    """The python-kernel live oracle: one python bank per filter."""
+    from repro.core.stats import StreamingFilterBank
+
+    _marks, names = runner._phase_plan(spec)
+    return {
+        name: StreamingFilterBank(
+            runner._build_filters(name, SCALED_SYSTEM),
+            kernel="python", phase_names=names,
+        )
+        for name in filters
+    }
+
+
+def _run_oracle(spec, banks: dict, chunk_size: int):
+    """Drive the oracle banks as separate sinks of one live simulation."""
+    from repro.traces.workloads import simulate_workload_accesses
+
+    stream, warmup = simulate_workload_accesses(
+        spec, n_cpus=SCALED_SYSTEM.n_cpus, seed=1
+    )
+    marks, _names = runner._phase_plan(spec)
+    return simulate_streaming(
+        SCALED_SYSTEM, stream, spec.name, warmup=warmup,
+        chunk_size=chunk_size, sinks=banks.values(), phase_marks=marks,
+    )
+
+
+def _assert_live_parity(spec, filters, chunk_size):
+    banks = _oracle_banks(spec, filters)
+    oracle_metrics = _run_oracle(spec, banks, chunk_size)
+    metrics, evaluations = runner.compute_stream(
+        spec, SCALED_SYSTEM, 1, filters, chunk_size
+    )
+    assert store_mod.encode_sim_metrics(metrics) == (
+        store_mod.encode_sim_metrics(oracle_metrics)
+    )
+    for name in filters:
+        assert store_mod.encode_eval(evaluations[name]) == (
+            store_mod.encode_eval(banks[name].finish())
+        ), (spec.name, name, chunk_size)
+    return evaluations
+
+
+#: A block far above every workload's footprint: all its IJ lanes read 0.
+_COLD_BLOCK = 0x2AB << 21
+
+
+class TestLiveKernelParity:
+    """``compute_stream`` runs its banks on the ``auto`` kernel behind one
+    shared segment per node and shard; every payload must equal the
+    python-kernel live oracle's, errors included."""
+
+    @pytest.mark.parametrize(
+        "chunk_size", (1, 7, 4096, runner.DEFAULT_CHUNK_SIZE)
+    )
+    def test_mixed_kernel_pass_matches_python_oracle(self, chunk_size):
+        _assert_live_parity(LIVE_SPEC, LIVE_FILTERS, chunk_size)
+
+    def test_phased_suite_matches_python_oracle(self):
+        from repro.traces.suite import Phase, Suite
+
+        suite = Suite(
+            [Phase("fill", "zipf-hot", 900),
+             Phase("drain", "scan-stream", 900)],
+            name="test-live-suite",
+            warmup_accesses=400,
+        )
+        evaluations = _assert_live_parity(suite, LIVE_FILTERS, 777)
+        for evaluation in evaluations.values():
+            assert set(evaluation.phases) == {"fill", "drain"}
+
+    def _both_raise(self, monkeypatch, filter_name, events):
+        """Run oracle and ``compute_stream`` with ``events`` appended to
+        node 0's third shard; both must fail alike.  Returns the error."""
+        original_take = SMPSystem.take_shard
+
+        def inject():
+            taken = {"shards": 0}
+
+            def take_shard(system):
+                shard = original_take(system)
+                taken["shards"] += 1
+                if taken["shards"] == 3:
+                    shard[0].events.extend(events)
+                return shard
+
+            monkeypatch.setattr(SMPSystem, "take_shard", take_shard)
+
+        built = []
+        build = runner._build_bank
+        monkeypatch.setattr(
+            runner, "_build_bank",
+            lambda *a, **k: built.append(build(*a, **k)) or built[-1],
+        )
+        oracle = _oracle_banks(LIVE_SPEC, (filter_name,))[filter_name]
+        inject()
+        with pytest.raises(ReproError) as oracle_error:
+            _run_oracle(LIVE_SPEC, {filter_name: oracle}, 256)
+        inject()
+        with pytest.raises(ReproError) as live_error:
+            runner.compute_stream(
+                LIVE_SPEC, SCALED_SYSTEM, 1, (filter_name,), 256
+            )
+        (live,) = built
+        assert type(live_error.value) is type(oracle_error.value)
+        assert str(live_error.value) == str(oracle_error.value)
+        for vector, python in zip(live.replayers, oracle.replayers):
+            assert not isinstance(vector, EventReplayer)
+            assert vars(vector.stats) == vars(python.stats)
+            assert (vector.allocs, vector.evicts) == (
+                python.allocs, python.evicts
+            )
+        return live_error.value
+
+    @requires_numpy
+    @pytest.mark.parametrize("filter_name", LIVE_FILTERS[:5])
+    def test_safety_violation_matches_python_oracle(
+        self, monkeypatch, filter_name
+    ):
+        """Snoop a cold block, then snoop it as cached: every vectorised
+        family filters the second snoop and must fail like the oracle."""
+        events = [
+            pack_event(SNOOP, _COLD_BLOCK),
+            pack_event(SNOOP, _COLD_BLOCK, 3),
+        ]
+        error = self._both_raise(monkeypatch, filter_name, events)
+        assert type(error) is FilterSafetyError
+
+    @requires_numpy
+    @pytest.mark.parametrize("filter_name", LIVE_FILTERS[2:5])
+    def test_ij_underflow_matches_python_oracle(
+        self, monkeypatch, filter_name
+    ):
+        """Evict a never-allocated block: the IJ lanes underflow."""
+        error = self._both_raise(
+            monkeypatch, filter_name, [pack_event(EVICT, _COLD_BLOCK)]
+        )
+        assert type(error) is CoherenceError
+        assert "IJ counter underflow" in str(error)
 
 
 # ----------------------------------------------------------------------

@@ -402,6 +402,52 @@ class TestMeasuredOnly:
                 payloads[name]
             ), (name, kernel)
 
+    #: SHA-256 of the decompressed fast-forward row and replayed eval
+    #: payloads of this workload, as the python warm banks wrote them
+    #: before live banks moved to the ``auto`` kernel.
+    PINNED_FAST_FORWARD = (
+        "f721743c21e7f8bf3d89092ca8b63084eb565b1c36b9450af0eca7bd36d4c96b"
+    )
+    PINNED_EVALS = {
+        "EJ-8x2":
+            "77cf4a1f034d35907a39a08dc13095674da23115449bde73818e1bdd85b814e2",
+        "VEJ-16x2-4":
+            "66be2066fa5298562f7469d33626ba5b9c40afa0f3fb47e646b7629059e059e9",
+        "IJ-8x4x7":
+            "9c5669bc6fc4c136507822ab834c4a11b4710a504089db701cbe5771bef9928d",
+        "HJ(IJ-8x4x7, EJ-8x2)":
+            "fcdfbf8aa1302b8be0325014f450d8e548cb5b4a055bb5b78c46c74b6bbe0c3d",
+    }
+
+    @pytest.mark.parametrize("kernel", [
+        "python",
+        pytest.param("numpy", marks=requires_numpy),
+    ])
+    def test_fast_forward_bytes_are_pinned(self, kernel):
+        """The warm banks stay on the python kernel: the stored snapshot
+        (EJ way placement included) and every replay from it keep their
+        exact bytes."""
+        import hashlib
+
+        def digest(blob):
+            return hashlib.sha256(zlib.decompress(blob)).hexdigest()
+
+        spec = WORKLOADS[WORKLOAD]
+        store = ExperimentStore()
+        runner.execute_replays(
+            [runner.ReplayJob(WORKLOAD, FAMILY_FILTERS, measured_only=True)],
+            experiment_store=store, kernel=kernel,
+        )
+        manifest, _keys = _segment_keys_flat(
+            store, store_mod.trace_key(spec, SCALED_SYSTEM, 1)
+        )
+        assert digest(store.get_blob(manifest["fast_forward"])) == (
+            self.PINNED_FAST_FORWARD
+        )
+        for name in FAMILY_FILTERS:
+            ekey = store_mod.eval_key(spec, name, SCALED_SYSTEM, 1)
+            assert digest(store.get_blob(ekey)) == self.PINNED_EVALS[name]
+
     def test_archive_is_smaller_and_manifest_says_why(self, tmp_path):
         spec = WORKLOADS[WORKLOAD]
         full = ExperimentStore(tmp_path / "full.sqlite")

@@ -184,6 +184,15 @@ class TestOracleParity:
         }
         assert len(payloads) == 1
 
+    def test_widest_ij_lanes_stay_exact(self, golden_streams):
+        """16-bit lane indexes (the widest the kernel takes) sort exactly."""
+        name = "IJ-16x3x5"
+        assert vector_replay.replayer_for(_single_filter(name), 0) is not None
+        for streams in golden_streams.values():
+            assert _replay_bytes(name, streams, "numpy", 1_777) == (
+                _replay_bytes(name, streams, "python", 1_777)
+            )
+
     @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
     def test_marker_mid_segment(self, filter_name):
         """A warm-up MARKER inside one batch resets stats, keeps state."""
@@ -440,6 +449,124 @@ class TestWarmStartParity:
 
 
 # ----------------------------------------------------------------------
+# Checkpoints across kernels
+# ----------------------------------------------------------------------
+
+def _cut_points(events) -> dict:
+    """Snapshot positions: right after the warm-up MARKER, and midway
+    between the first PHASE marker and the next (or the end)."""
+    kinds = [(i, e) for i, e in enumerate(events) if e & 3 == MARKER]
+    warm = next(i for i, e in kinds if not e & 0b1100)
+    phases = [i for i, e in kinds if e & 0b1100] + [len(events)]
+    return {
+        "after-marker": warm + 1,
+        "mid-phase": (phases[0] + phases[1]) // 2,
+    }
+
+
+def _bank(name, kernel, phase_names):
+    return StreamingFilterBank(
+        runner._build_filters(name, SCALED_SYSTEM), kernel=kernel,
+        phase_names=phase_names,
+    )
+
+
+def _feed_range(bank, streams, lo_of, hi_of, chunk=1_777):
+    for node_id, stream in enumerate(streams):
+        events = stream.events
+        for lo in range(lo_of(events), hi_of(events), chunk):
+            bank.feed_node(
+                node_id, events[lo:min(lo + chunk, hi_of(events))]
+            )
+
+
+def _through_checkpoint(state):
+    """What a checkpoint row stores and loads back."""
+    blob = store_mod.encode_checkpoint({"banks": state})
+    return store_mod.decode_checkpoint(blob)["banks"]
+
+
+@requires_numpy
+class TestCrossKernelCheckpoint:
+    """A bank snapshot taken on one kernel resumes on the other and
+    finishes with the uninterrupted evaluation's exact bytes."""
+
+    @pytest.mark.parametrize("cut", ("after-marker", "mid-phase"))
+    @pytest.mark.parametrize(
+        "first, second", (("numpy", "python"), ("python", "numpy"))
+    )
+    @pytest.mark.parametrize("filter_name", PARITY_FILTERS)
+    def test_round_trip_matches_uninterrupted(
+        self, suite_streams, filter_name, first, second, cut
+    ):
+        names = SUITE_SPEC.phase_names()
+        expected = _replay_bytes(filter_name, suite_streams, "python", 1_777,
+                                 names)
+
+        def at(events):
+            return _cut_points(list(events))[cut]
+
+        before = _bank(filter_name, first, names)
+        _feed_range(before, suite_streams, lambda e: 0, at)
+        state = _through_checkpoint(before.snapshot())
+        after = _bank(filter_name, second, names)
+        after.restore(state)
+        _feed_range(after, suite_streams, at, len)
+        assert store_mod.encode_eval(after.finish()) == expected
+        # Checkpoint bytes agree too, up to the exclude ways' placement:
+        # re-exporting the oracle's snapshot through a vector bank
+        # canonicalises it.
+        oracle = _bank(filter_name, "python", names)
+        _feed_range(oracle, suite_streams, lambda e: 0, at)
+        canonical = _bank(filter_name, "numpy", names)
+        canonical.restore(oracle.snapshot())
+        vector = _bank(filter_name, "numpy", names)
+        _feed_range(vector, suite_streams, lambda e: 0, at)
+        assert vector.snapshot() == canonical.snapshot()
+
+    def test_ij_snapshots_are_byte_identical(self, suite_streams):
+        """Lane counters have no placement freedom: identical snapshots."""
+        snapshots = []
+        for kernel in ("python", "numpy"):
+            bank = _bank("IJ-8x4x7", kernel, ())
+            _feed_range(bank, suite_streams, lambda e: 0,
+                        lambda e: len(e) // 2)
+            snapshots.append(
+                store_mod.encode_checkpoint({"banks": bank.snapshot()})
+            )
+        assert snapshots[0] == snapshots[1]
+
+    def test_restored_ij_and_hj_banks_share_lanes_again(self, suite_streams):
+        """IJ and HJ banks restored from one checkpoint re-seed one lane
+        key, so they share one span evaluation per segment again."""
+        names = ("IJ-8x4x7", "HJ(IJ-8x4x7, EJ-16x2)")
+        half = lambda events: len(events) // 2  # noqa: E731
+        checkpoint = {}
+        for name in names:
+            bank = _bank(name, "numpy", ())
+            _feed_range(bank, suite_streams, lambda e: 0, half)
+            checkpoint[name] = _through_checkpoint(bank.snapshot())
+        banks = [_bank(name, "numpy", ()) for name in names]
+        for name, bank in zip(names, banks):
+            bank.restore(checkpoint[name])
+        for node_id, stream in enumerate(suite_streams):
+            segment = PackedSegment(stream.events[half(stream.events):])
+            lane_spans = []
+            for bank in banks:
+                bank.feed_node(node_id, segment)
+                lane_spans.append(sum(
+                    1 for key in segment._cache
+                    if isinstance(key, tuple) and key[0] == "ijspan"
+                ))
+            # The HJ bank found every lane span the IJ bank evaluated.
+            assert lane_spans[0] > 0 and lane_spans[1] == lane_spans[0]
+        for name, bank in zip(names, banks):
+            assert store_mod.encode_eval(bank.finish()) == _replay_bytes(
+                name, suite_streams, "python", 1_777
+            ), name
+
+
+# ----------------------------------------------------------------------
 # Kernel / fallback selection
 # ----------------------------------------------------------------------
 
@@ -506,12 +633,13 @@ class TestKernelSelection:
         assert vector_replay.replayer_for(ExcludeJetty(1 << 16, 1), 0) is not None
 
     @requires_numpy
-    def test_vector_replayers_refuse_checkpointing(self):
-        replayer = vector_replay.replayer_for(_single_filter("EJ-16x2"), 0)
-        with pytest.raises(ConfigurationError, match="checkpoint"):
-            replayer.snapshot()
-        with pytest.raises(ConfigurationError, match="checkpoint"):
-            replayer.restore({})
+    def test_vector_replayers_snapshot_in_python_format(self):
+        """Fresh replayers of every family snapshot exactly as the oracle."""
+        for name in PARITY_FILTERS:
+            oracle = EventReplayer(_single_filter(name), 0)
+            vector = vector_replay.replayer_for(_single_filter(name), 0)
+            assert vector.snapshot() == oracle.snapshot(), name
+            vector.restore(oracle.snapshot())
 
     @requires_numpy
     def test_packed_segment_shares_the_decoded_array(self):
