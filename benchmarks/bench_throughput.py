@@ -11,9 +11,9 @@ Protocol (identical across code versions, so numbers are comparable):
 * **streamed** — one single-pass simulation per workload with the four
   :data:`~repro.analysis.runner.DEFAULT_SWEEP_FILTERS` banks attached
   live (the paper-scale configuration; the headline number);
-* **buffered** — the two-phase pipeline (record everything, then replay
-  all four filters) at a reduced access count, since buffered memory is
-  O(trace);
+* **buffered** — the in-memory reference (``runner.compute_sim`` keeps
+  every event stream, then ``runner.compute_eval`` replays all four
+  filters) at a reduced access count, since its memory is O(trace);
 * **replay** — the record-once / replay-many trace store: a *cold
   record* (one streaming simulation persisting its packed event shards)
   followed by a *warm replay* of all four filter configurations from
@@ -308,7 +308,7 @@ def measure_checkpointed(name: str, n_accesses: int, warmup: int,
     spec = _sized(name, n_accesses, warmup)
     with tempfile.TemporaryDirectory() as tmp:
         store = ExperimentStore(Path(tmp) / "bench-checkpoints.sqlite")
-        report = runner.execute_streams(
+        report = runner.execute(
             [runner.StreamJob(name, FILTERS, SCALED_SYSTEM, 1)],
             experiment_store=store, specs={name: spec},
             checkpoint_every=every,

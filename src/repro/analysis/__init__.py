@@ -37,15 +37,12 @@ from repro.analysis.experiments import (
     summarize_nway,
 )
 from repro.analysis.runner import (
-    EvalJob,
     ReplayJob,
-    SimJob,
     StreamJob,
     evaluate_replay,
     evaluate_streaming,
     execute,
     execute_replays,
-    execute_streams,
     record_trace,
     run_sweep,
 )
@@ -68,10 +65,8 @@ from repro.analysis.tables import (
 
 __all__ = [
     "AnalyticalEnergyModel",
-    "EvalJob",
     "ExperimentStore",
     "ReplayJob",
-    "SimJob",
     "SnoopEnergyInputs",
     "build_figure2",
     "build_figure4a",
@@ -93,7 +88,6 @@ __all__ = [
     "evaluate_streaming",
     "execute",
     "execute_replays",
-    "execute_streams",
     "get_store",
     "record_trace",
     "render_figure",

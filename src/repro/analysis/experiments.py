@@ -7,8 +7,8 @@ every filter configuration replays that trace with the ``auto`` (NumPy
 when available) kernel.  Traces, metrics and evaluations are kept in an
 :class:`~repro.analysis.store.ExperimentStore` keyed by a complete
 configuration fingerprint (workload spec, full system geometry, seed).
-Only :func:`run_workload`, the explicit event-stream API, writes
-buffered ``sim`` rows.  By default the store is in-memory — the
+:func:`run_workload`, the explicit event-stream API, simulates in memory
+and stores nothing.  By default the store is in-memory — the
 behaviour the bench suite always had — but pointing it at a file
 (``set_store(path)`` or the ``REPRO_STORE`` environment variable) makes
 every result durable across invocations.  Batched/parallel execution
@@ -66,19 +66,12 @@ def run_workload(
 ) -> SimResult:
     """Simulate one named workload, keeping its event streams.
 
-    The explicit buffered API (store-backed; warm hits are free) and the
-    only writer of ``sim`` rows.  Exhibits that need just counters use
+    The explicit event-stream API: an in-memory simulation (O(trace)
+    memory) that nothing stores.  Exhibits that need just counters use
     :func:`workload_metrics`; filter evaluations use
     :func:`evaluate_filter`, which records and replays a trace instead.
     """
-    spec = get_workload(name)
-    store = get_store()
-    key = store_mod.sim_key(spec, system, seed)
-    result = store.get_sim(key)
-    if result is None:
-        result = runner.compute_sim(spec, system, seed)
-        store.put_sim(key, result, seed=seed)
-    return result
+    return runner.compute_sim(get_workload(name), system, seed)
 
 
 def workload_metrics(
@@ -91,11 +84,11 @@ def workload_metrics(
     The metrics-only front door for exhibits that read counters (tables,
     stability, energy) but never replay events: it is satisfied by the
     ``sim-metrics`` row that every streamed run and every trace recording
-    (so every :func:`evaluate_filter` miss) writes, then by a
-    :func:`run_workload` ``sim`` row or a recorded trace's manifest, and
-    only simulates — in O(chunk) streaming mode — when none exists.  The
-    numbers are identical to :func:`run_workload`'s by the determinism
-    contract; only the memory profile differs.
+    (so every :func:`evaluate_filter` miss) writes, then by a recorded
+    trace's manifest, and only simulates — in O(chunk) streaming mode —
+    when neither exists.  The numbers are identical to
+    :func:`run_workload`'s by the determinism contract; only the memory
+    profile differs.
     """
     spec = get_workload(name)
     store = get_store()
@@ -103,9 +96,6 @@ def workload_metrics(
     metrics = store.get_sim_metrics(mkey)
     if metrics is not None:
         return metrics
-    full = store.get_sim(store_mod.sim_key(spec, system, seed))
-    if full is not None:
-        return full
     # A recorded trace embeds the run's metrics in its manifest; restore
     # the sim-metrics row from it (byte-identical) instead of simulating.
     manifest_blob = store.get_blob(store_mod.trace_key(spec, system, seed))

@@ -1,12 +1,10 @@
 """Parallel experiment engine: fan simulation jobs out over processes.
 
-The engine takes batched job lists — :class:`SimJob` (simulate one
-workload on one system with one seed), :class:`EvalJob` (replay one
-filter over that simulation's recorded event streams), :class:`StreamJob`
-(one single-pass streaming simulation with any number of filters
-attached live), and :class:`ReplayJob` (record one simulation's packed
-event shards into the store once, then evaluate any number of filters by
-replaying the persisted trace) — deduplicates them against an
+The engine takes batched job lists — :class:`ReplayJob` (record one
+simulation's packed event shards into the store once, then evaluate any
+number of filters by replaying the persisted trace) and
+:class:`StreamJob` (one single-pass streaming simulation with any number
+of filters attached live) — deduplicates them against an
 :class:`~repro.analysis.store.ExperimentStore`, and runs the misses
 either inline or on a pluggable executor backend (``serial``,
 ``process`` — a supervised process pool, the default — or ``thread``).
@@ -17,40 +15,39 @@ backoff, and a task that exhausts its budget is quarantined — the
 sweep completes with partial results and the
 :class:`ExecutionReport` says exactly what happened.
 
-**Record once, replay many.**  A filter never alters coherence
-behaviour, so sweeping F filter configurations over one
+**Record once, replay many** (the default).  A filter never alters
+coherence behaviour, so sweeping F filter configurations over one
 ``(workload, system, seed)`` re-observes the *same* event stream F
 times.  :func:`execute_replays` exploits that: the first run records
 the stream as a persisted trace (kind ``sim-events`` — fixed-size
 compressed segments of packed events, written incrementally with
-O(segment) memory), and every filter configuration — including ones
-invented weeks later — replays the trace without instantiating caches,
-bus, or nodes.  Replay tasks fan out across workers that each open the
-store read-only and decode segments independently, so a warm filter
-sweep costs O(filters x replay) instead of O(filters x simulation), and
-parallelises per filter configuration.  Replayed evaluations are
-byte-identical to live ones and share the one ``eval`` keyspace.
+O(segment) memory into a store file), and every filter configuration —
+including ones invented weeks later — replays the trace without
+instantiating caches, bus, or nodes.  Recordings fan out as one
+supervised task per trace; replay tasks fan out across workers that
+each open the store read-only and decode segments independently, so a
+warm filter sweep costs O(filters x replay) instead of O(filters x
+simulation), and parallelises per filter configuration.
 
-**Buffered vs streaming.**  A buffered experiment is two phases: the
-simulation records every node's full event stream into the store, then
-each filter replays that recording.  Memory is O(trace), which caps runs
-at toy sizes.  A :class:`StreamJob` instead fuses both phases into one
-pass: the simulation emits bounded event *shards* (see the shard/marker
-protocol in :mod:`repro.coherence.smp`), every requested filter consumes
-each shard as it appears, and only metrics are stored — N filters are
-evaluated in one simulation with O(chunk) memory, never O(trace).  This
-is the only mode that reaches paper-scale traces (Table 2's tens of
-millions of accesses).
+**Live.**  :func:`execute` runs each :class:`StreamJob` as one pass: the
+simulation emits bounded event *shards* (see the shard/marker protocol
+in :mod:`repro.coherence.smp`), every requested filter consumes each
+shard as it appears, and only metrics are stored — N filters are
+evaluated in one simulation with O(chunk) memory and nothing persisted
+but results.  Both executors write the one ``eval`` keyspace, so each
+warms the other.  :func:`compute_sim` and :func:`compute_eval` keep the
+whole-stream, in-memory form of the same computation as the reference
+the tests compare against; nothing stores its event streams.
 
 **Determinism contract.**  A job is a pure function of its inputs.
 Every worker derives its random stream from the job's explicit seed (see
 :func:`repro.traces.workloads.build_workload_stream`), so a parallel run
 produces *bitwise identical* store payloads to a serial run of the same
 jobs — the determinism tests diff the two stores byte for byte.  The
-contract extends across modes: for the same ``(spec, system, seed)``, a
-streamed evaluation's payload is byte-identical to the buffered replay's,
-regardless of chunk size or worker count, which is why both modes share
-one ``eval`` keyspace in the store.
+contract extends across executors: for the same ``(spec, system,
+seed)``, a live evaluation's payload is byte-identical to a replayed
+one's, regardless of chunk size, kernel or worker count, which is why
+both share one ``eval`` keyspace in the store.
 
 **Checkpointing.**  Streamed runs (live-filter or recording) accept a
 ``checkpoint_every`` cadence: every N stream accesses the run snapshots
@@ -65,12 +62,9 @@ produces byte-identical metrics, evaluations, and recorded trace
 segments.  Completed runs retire their checkpoint chains; ``repro
 checkpoint list|info|rm`` inspects or drops leftovers.
 
-Buffered execution is two-phase: first every missing simulation runs
-(these are the expensive, minutes-scale jobs), then every missing filter
-replay runs with its simulation's compressed payload shipped to the
-worker.  Stream jobs are single-phase by construction.  Jobs are sorted
-by store key before submission so insertion order — and therefore the
-store file — is independent of the caller's iteration order.
+Jobs are sorted by store key before submission so insertion order — and
+therefore the store file — is independent of the caller's iteration
+order.
 """
 
 from __future__ import annotations
@@ -81,6 +75,7 @@ import sqlite3
 import time
 import urllib.parse
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from repro.analysis import store as store_mod
@@ -113,7 +108,6 @@ from repro.core.stats import (
 )
 from repro.errors import (
     ConfigurationError,
-    ExecutionError,
     ReproError,
     StoreCorruptionError,
 )
@@ -136,29 +130,6 @@ DEFAULT_SWEEP_FILTERS = (
     "IJ-10x4x7",
     "HJ(IJ-10x4x7, EJ-32x4)",
 )
-
-
-@dataclass(frozen=True)
-class SimJob:
-    """Simulate one workload; the expensive half of every experiment."""
-
-    workload: str
-    system: SystemConfig = SCALED_SYSTEM
-    seed: int = 1
-
-
-@dataclass(frozen=True)
-class EvalJob:
-    """Replay one filter over one simulation's recorded event streams."""
-
-    workload: str
-    filter_name: str
-    system: SystemConfig = SCALED_SYSTEM
-    seed: int = 1
-
-    @property
-    def sim_job(self) -> SimJob:
-        return SimJob(self.workload, self.system, self.seed)
 
 
 @dataclass(frozen=True)
@@ -233,7 +204,11 @@ def _phase_plan(spec: WorkloadSpec) -> tuple[tuple[int, ...], tuple[str, ...]]:
 
 
 def compute_sim(spec: WorkloadSpec, system: SystemConfig, seed: int) -> SimResult:
-    """Simulate one workload from scratch — deterministic in its inputs."""
+    """Simulate one workload from scratch, keeping every event stream.
+
+    The in-memory reference (O(trace) memory): deterministic in its
+    inputs, and never stored.
+    """
     stream, warmup = simulate_workload_accesses(
         spec, n_cpus=system.n_cpus, seed=seed
     )
@@ -249,10 +224,10 @@ def compute_eval(
 ) -> FilterEvaluation:
     """Replay one filter config over every node's stream and merge.
 
-    Buffered replay is the degenerate streaming case: the recorded
-    streams are one big shard, consumed by the same bank the live path
-    uses — a single construction site keeps the two modes' byte-identity
-    contract safe by design.
+    The in-memory reference is the degenerate streaming case: the
+    streams of a :func:`compute_sim` result are one big shard, consumed
+    by the same bank the live and replay paths use — a single
+    construction site keeps their byte-identity contract safe by design.
     """
     bank = _build_bank(filter_name, system, phase_names=phase_names)
     bank.consume(sim.event_streams)
@@ -282,7 +257,7 @@ def _build_bank(
 
     ``kernel`` selects the replay kernel per node (see
     :data:`repro.core.stats.REPLAY_KERNELS`).  Live, checkpointed and
-    buffered call sites keep the default ``"auto"`` — vectorised where
+    in-memory call sites keep the default ``"auto"`` — vectorised where
     a family and NumPy allow, and checkpoints cross kernels; replay call
     sites pass the caller's choice.  The one exception is the
     measured-only recording's warm banks (see :func:`record_trace`).
@@ -323,7 +298,7 @@ def compute_stream(
     """Run one streaming simulation with all ``filter_names`` attached.
 
     Returns the metrics-only result plus one merged evaluation per
-    filter.  Every number is identical to what the buffered
+    filter.  Every number is identical to what the in-memory
     :func:`compute_sim` + :func:`compute_eval` pair produces — only the
     memory profile differs (O(chunk_size) instead of O(trace)).  The
     banks run on the ``auto`` kernel behind one :class:`ShardFanout`:
@@ -696,12 +671,6 @@ def _run_checkpointed(
     return metrics, evaluations, sink, chain
 
 
-def _sim_task(task: tuple[str, WorkloadSpec, SystemConfig, int]) -> tuple[str, bytes]:
-    """Worker entry: run one simulation, return its canonical payload."""
-    key, spec, system, seed = task
-    return key, store_mod.encode_sim(compute_sim(spec, system, seed))
-
-
 def _stream_task(task) -> tuple[str, bytes, list[tuple[str, bytes]]]:
     """Worker entry: one fused streaming pass, encoded results back.
 
@@ -720,46 +689,40 @@ def _stream_task(task) -> tuple[str, bytes, list[tuple[str, bytes]]]:
     )
 
 
-def _eval_group_task(
-    task: tuple[bytes, SystemConfig, list[tuple[str, str]], tuple[str, ...]]
-) -> list[tuple[str, bytes]]:
-    """Worker entry: decode one shipped simulation, replay several filters.
+@contextmanager
+def _task_store(target):
+    """The store a writing worker task lands its rows in.
 
-    Grouping all of a simulation's filter replays into one task means the
-    compressed payload crosses the process boundary (and is decoded)
-    exactly once per simulation, not once per filter.  ``phase_names``
-    labels the recorded PHASE markers (empty for plain workloads).
+    ``target`` is the parent's own :class:`ExperimentStore` when the task
+    runs in the parent (serial execution), else a SQLite path — the task
+    opens its own read-write connection to the shared file (every
+    ``put_blob`` retries under ``SQLITE_RETRY_POLICY``, so sibling
+    writers contend safely) — or ``None`` for a private in-memory store.
     """
-    sim_blob, system, pairs, phase_names = task
-    sim = store_mod.decode_sim(sim_blob)
-    return [
-        (
-            key,
-            store_mod.encode_eval(
-                compute_eval(sim, filter_name, system, phase_names)
-            ),
-        )
-        for key, filter_name in pairs
-    ]
+    if isinstance(target, ExperimentStore):
+        yield target
+        return
+    store = ExperimentStore(target)
+    try:
+        yield store
+    finally:
+        store.close()
 
 
 def _checkpointed_stream_task(task):
     """Worker entry: one checkpointed streaming run, writes owned locally.
 
-    Unlike the other worker entries, this one does not ship results back
-    for the parent to store: a checkpointed run *is* a store client — it
-    snapshots mid-run state at every watermark — so the worker opens its
-    own read-write connection to the shared SQLite file and lands
-    checkpoints, metrics, and evaluations itself (every ``put_blob``
-    retries under ``SQLITE_RETRY_POLICY``, so concurrent writers from
-    sibling workers contend safely).  Only counters cross the process
-    boundary.  This is what lets checkpointed sweeps fan out instead of
-    being forced serial in the parent.
+    Unlike :func:`_stream_task`, this one does not ship results back for
+    the parent to store: a checkpointed run *is* a store client — it
+    snapshots mid-run state at every watermark — so it lands
+    checkpoints, metrics, and evaluations itself through
+    :func:`_task_store`.  Only counters cross the process boundary.
+    This is what lets checkpointed sweeps fan out instead of being
+    forced serial in the parent.
     """
-    (path, spec, system, seed, all_names, chunk_size,
+    (target, spec, system, seed, all_names, chunk_size,
      checkpoint_every, mkey, pairs) = task
-    store = ExperimentStore(path)
-    try:
+    with _task_store(target) as store:
         local = ExecutionReport()
         metrics, evaluations, _sink, chain = _run_checkpointed(
             spec, system, seed, all_names, chunk_size, checkpoint_every,
@@ -775,16 +738,26 @@ def _checkpointed_stream_task(task):
                 workload=spec.name, filter_name=name,
                 n_cpus=system.n_cpus, seed=seed,
             )
-        # Results are durable; retire the chain from the worker too.
+        # Results are durable; the chain can never be resumed into
+        # anything new, so retire it now rather than waiting for gc.
         store.delete_group(store_mod.CHECKPOINT_KIND, chain)
-        return len(pairs), {
-            "checkpoints_written": local.checkpoints_written,
-            "checkpoints_resumed": local.checkpoints_resumed,
-            "resumed_accesses": local.resumed_accesses,
-            "checkpoint_seconds": local.checkpoint_seconds,
-        }
-    finally:
-        store.close()
+        return len(pairs), _checkpoint_counters(local)
+
+
+_CHECKPOINT_COUNTERS = (
+    "checkpoints_written", "checkpoints_resumed",
+    "resumed_accesses", "checkpoint_seconds",
+)
+
+
+def _checkpoint_counters(report: "ExecutionReport") -> dict:
+    """The checkpoint counters a worker task ships back to the parent."""
+    return {name: getattr(report, name) for name in _CHECKPOINT_COUNTERS}
+
+
+def _add_checkpoint_counters(report: "ExecutionReport", counters: dict) -> None:
+    for name in _CHECKPOINT_COUNTERS:
+        setattr(report, name, getattr(report, name) + counters[name])
 
 
 #: Pluggable executor backends (the runner's ``backend=`` knob):
@@ -923,7 +896,7 @@ class ExecutionReport:
         return text
 
 
-def _spec_for(job: SimJob | EvalJob, specs: dict[str, WorkloadSpec]) -> WorkloadSpec:
+def _spec_for(job: StreamJob | ReplayJob, specs: dict[str, WorkloadSpec]) -> WorkloadSpec:
     spec = specs.get(job.workload)
     if spec is None:
         spec = get_workload(job.workload)
@@ -931,140 +904,11 @@ def _spec_for(job: SimJob | EvalJob, specs: dict[str, WorkloadSpec]) -> Workload
     return spec
 
 
+# ----------------------------------------------------------------------
+# Live execution
+# ----------------------------------------------------------------------
+
 def execute(
-    sim_jobs: list[SimJob] | tuple[SimJob, ...] = (),
-    eval_jobs: list[EvalJob] | tuple[EvalJob, ...] = (),
-    *,
-    experiment_store: ExperimentStore,
-    workers: int = 1,
-    backend: str | None = None,
-    specs: dict[str, WorkloadSpec] | None = None,
-    policy: RetryPolicy | None = None,
-    task_timeout: float | None = None,
-    fault_plan=None,
-) -> ExecutionReport:
-    """Run every job not already in the store; return what happened.
-
-    ``specs`` optionally maps workload names to explicit
-    :class:`WorkloadSpec` objects (the sweep CLI uses this for reduced
-    access counts); unlisted names resolve through the registry.
-    ``backend`` selects the executor (:data:`EXECUTOR_BACKENDS`;
-    default ``process``).  ``policy`` / ``task_timeout`` / ``fault_plan``
-    configure supervision (see :func:`_map_tasks`); a quarantined
-    simulation also skips every evaluation depending on it, so the
-    sweep completes with partial results and the report says so.
-    """
-    started = time.perf_counter()
-    report = ExecutionReport(workers=max(1, workers))
-    specs = specs if specs is not None else {}
-    supervision = dict(
-        report=report, policy=policy,
-        task_timeout=task_timeout, fault_plan=fault_plan,
-    )
-
-    # Phase 1 — every simulation any job needs, deduplicated by key.
-    # A simulation is *demanded* when a SimJob names it explicitly or an
-    # eval job that misses the store depends on it; a sim that only backs
-    # already-cached evaluations (e.g. after a streamed sweep, which
-    # stores evals but no full recording) must not be re-run.
-    needed_sims: dict[str, SimJob] = {}
-    demanded: set[str] = set()
-    for job in sim_jobs:
-        key = store_mod.sim_key(_spec_for(job, specs), job.system, job.seed)
-        needed_sims.setdefault(key, job)
-        demanded.add(key)
-    for ej in eval_jobs:
-        spec = _spec_for(ej, specs)
-        key = store_mod.sim_key(spec, ej.system, ej.seed)
-        needed_sims.setdefault(key, ej.sim_job)
-        ekey = store_mod.eval_key(spec, ej.filter_name, ej.system, ej.seed)
-        if not experiment_store.contains(ekey):
-            demanded.add(key)
-
-    sim_tasks = []
-    for key in sorted(needed_sims):
-        job = needed_sims[key]
-        if experiment_store.contains(key) or key not in demanded:
-            report.sims_cached += 1
-        else:
-            sim_tasks.append((key, specs[job.workload], job.system, job.seed))
-    for outcome in _map_tasks(
-        _sim_task, sim_tasks, workers, backend, stage="sim", **supervision
-    ):
-        if outcome is QUARANTINED:
-            continue
-        key, blob = outcome
-        job = needed_sims[key]
-        experiment_store.put_sim_blob(
-            key, blob, workload=specs[job.workload].name,
-            n_cpus=job.system.n_cpus, seed=job.seed,
-        )
-        report.sims_run += 1
-
-    # Phase 2 — filter replays, grouped per simulation so each compressed
-    # payload is shipped to and decoded by a worker exactly once.
-    needed_evals: dict[str, EvalJob] = {}
-    for job in eval_jobs:
-        key = store_mod.eval_key(
-            _spec_for(job, specs), job.filter_name, job.system, job.seed
-        )
-        needed_evals.setdefault(key, job)
-
-    groups: dict[str, list[tuple[str, str]]] = {}
-    for key in sorted(needed_evals):
-        job = needed_evals[key]
-        if experiment_store.contains(key):
-            report.evals_cached += 1
-            continue
-        skey = store_mod.sim_key(specs[job.workload], job.system, job.seed)
-        groups.setdefault(skey, []).append((key, job.filter_name))
-
-    eval_tasks = []
-    for skey in sorted(groups):
-        pairs = groups[skey]
-        sim_blob = experiment_store.get_blob(skey)
-        if sim_blob is None:
-            # Phase 1 normally guarantees the blob; its absence means
-            # the simulation was quarantined this run.  Degrade: skip
-            # the dependent evaluations rather than dying.
-            if not report.quarantined:  # pragma: no cover - invariant
-                raise ExecutionError(
-                    f"simulation missing for eval keys {pairs} "
-                    "without a quarantine"
-                )
-            _logger.warning(
-                "skipping %d evaluation(s): simulation %s was quarantined",
-                len(pairs), skey,
-            )
-            continue
-        job = needed_evals[pairs[0][0]]
-        eval_tasks.append(
-            (sim_blob, job.system, pairs, _phase_plan(specs[job.workload])[1])
-        )
-    for results in _map_tasks(
-        _eval_group_task, eval_tasks, workers, backend,
-        stage="eval", **supervision
-    ):
-        if results is QUARANTINED:
-            continue
-        for key, blob in results:
-            job = needed_evals[key]
-            experiment_store.put_eval_blob(
-                key, blob, workload=specs[job.workload].name,
-                filter_name=job.filter_name,
-                n_cpus=job.system.n_cpus, seed=job.seed,
-            )
-            report.evals_run += 1
-
-    report.elapsed_seconds = time.perf_counter() - started
-    return report
-
-
-# ----------------------------------------------------------------------
-# Streaming execution
-# ----------------------------------------------------------------------
-
-def execute_streams(
     stream_jobs: list[StreamJob] | tuple[StreamJob, ...],
     *,
     experiment_store: ExperimentStore,
@@ -1076,13 +920,13 @@ def execute_streams(
     task_timeout: float | None = None,
     fault_plan=None,
 ) -> ExecutionReport:
-    """Run every streaming job whose results are not already stored.
+    """Run every live streaming job whose results are not already stored.
 
     Jobs targeting the same ``(workload, system, seed)`` are fused into
     one simulation pass evaluating the union of their filters.  A job is
     skipped entirely when its metrics *and* every requested evaluation
-    are already in the store — including evaluations produced earlier by
-    the buffered path, since both modes share the ``eval`` keyspace.
+    are already in the store — including evaluations replayed earlier by
+    :func:`execute_replays`, since both share the ``eval`` keyspace.
 
     With ``checkpoint_every``, each simulation snapshots its full state
     into the store at that access cadence and resumes from the newest
@@ -1120,7 +964,6 @@ def execute_streams(
             filters[store_mod.eval_key(spec, name, job.system, job.seed)] = name
 
     tasks = []
-    replay_tasks = []
     for mkey in sorted(grouped):
         job, filters = grouped[mkey]
         spec = specs[job.workload]
@@ -1133,90 +976,20 @@ def execute_streams(
         if not pairs and experiment_store.contains(mkey):
             report.sims_cached += 1
             continue
-        # A buffered recording of this exact configuration may already be
-        # stored (full event streams included).  If so, nothing needs
-        # simulating: missing evaluations replay from the recording and
-        # the metrics payload is derived from it — both byte-identical to
-        # a genuine streaming pass by the determinism contract.  This is
-        # what makes buffered sweeps warm streamed ones completely.
-        sim_blob = experiment_store.get_blob(
-            store_mod.sim_key(spec, job.system, job.seed)
-        )
-        if sim_blob is not None:
-            if not experiment_store.contains(mkey):
-                experiment_store.put_sim_metrics_blob(
-                    mkey,
-                    store_mod.encode_sim_metrics(store_mod.decode_sim(sim_blob)),
-                    workload=spec.name,
-                    n_cpus=job.system.n_cpus,
-                    seed=job.seed,
-                )
-            report.sims_cached += 1
-            if pairs:
-                replay_tasks.append(
-                    (sim_blob, job.system, pairs, _phase_plan(spec)[1])
-                )
-            continue
         tasks.append((mkey, spec, job.system, job.seed, job.chunk_size, pairs))
 
-    # Replays of stored recordings share the worker pool, exactly like
-    # the buffered engine's phase 2.
-    eval_owner = {
-        ekey: grouped[mkey] for mkey in grouped for ekey in grouped[mkey][1]
-    }
-    for results in _map_tasks(
-        _eval_group_task, replay_tasks, workers, backend,
-        stage="stream-eval", **supervision
-    ):
-        if results is QUARANTINED:
-            continue
-        for ekey, blob in results:
-            job, filters = eval_owner[ekey]
-            experiment_store.put_eval_blob(
-                ekey, blob, workload=specs[job.workload].name,
-                filter_name=filters[ekey],
-                n_cpus=job.system.n_cpus, seed=job.seed,
-            )
-            report.evals_run += 1
-
     if checkpoint_every is not None:
+        # Worker-side checkpoint writers on a store file; in-memory
+        # stores and the serial backend keep the runs in the parent,
+        # which owns the only store connection.
         parallel = (
             experiment_store.path is not None
             and max(1, workers) > 1
             and len(tasks) > 1
             and (backend or "process") != "serial"
         )
-        if parallel:
-            # Worker-side checkpoint writers: each run opens its own
-            # connection to the shared SQLite file and lands snapshots,
-            # metrics, and evaluations itself (see
-            # :func:`_checkpointed_stream_task`), so checkpointed
-            # sweeps fan out like plain ones.  Only counters return.
-            ck_tasks = []
-            for mkey, spec, system, seed, task_chunk, pairs in tasks:
-                _job, filters_map = grouped[mkey]
-                all_names = tuple(sorted(set(filters_map.values())))
-                ck_tasks.append((
-                    str(experiment_store.path), spec, system, seed,
-                    all_names, task_chunk, checkpoint_every, mkey, pairs,
-                ))
-            for outcome in _map_tasks(
-                _checkpointed_stream_task, ck_tasks, workers, backend,
-                stage="checkpoint", **supervision
-            ):
-                if outcome is QUARANTINED:
-                    continue
-                evals_done, counters = outcome
-                report.sims_run += 1
-                report.evals_run += evals_done
-                report.checkpoints_written += counters["checkpoints_written"]
-                report.checkpoints_resumed += counters["checkpoints_resumed"]
-                report.resumed_accesses += counters["resumed_accesses"]
-                report.checkpoint_seconds += counters["checkpoint_seconds"]
-            report.elapsed_seconds = time.perf_counter() - started
-            return report
-        # In-memory or serial: checkpointed runs stay in the parent —
-        # they need the live store connection for their snapshots.
+        target = str(experiment_store.path) if parallel else experiment_store
+        ck_tasks = []
         for mkey, spec, system, seed, task_chunk, pairs in tasks:
             # The chain (and the attached banks) covers the job's *full*
             # filter union, not just the currently missing evaluations:
@@ -1226,26 +999,21 @@ def execute_streams(
             # silently restarting a near-complete run from access 0.
             _job, filters_map = grouped[mkey]
             all_names = tuple(sorted(set(filters_map.values())))
-            metrics, evaluations, _sink, chain = _run_checkpointed(
-                spec, system, seed, all_names,
-                task_chunk, checkpoint_every, experiment_store,
-                report=report,
-            )
-            experiment_store.put_sim_metrics_blob(
-                mkey, store_mod.encode_sim_metrics(metrics),
-                workload=spec.name, n_cpus=system.n_cpus, seed=seed,
-            )
+            ck_tasks.append((
+                target, spec, system, seed,
+                all_names, task_chunk, checkpoint_every, mkey, pairs,
+            ))
+        for outcome in _map_tasks(
+            _checkpointed_stream_task, ck_tasks, workers,
+            backend if parallel else "serial",
+            stage="checkpoint", **supervision
+        ):
+            if outcome is QUARANTINED:
+                continue
+            evals_done, counters = outcome
             report.sims_run += 1
-            for ekey, name in pairs:
-                experiment_store.put_eval_blob(
-                    ekey, store_mod.encode_eval(evaluations[name]),
-                    workload=spec.name, filter_name=name,
-                    n_cpus=system.n_cpus, seed=seed,
-                )
-                report.evals_run += 1
-            # Results are durable; the chain can never be resumed into
-            # anything new, so retire it now rather than waiting for gc.
-            experiment_store.delete_group(store_mod.CHECKPOINT_KIND, chain)
+            report.evals_run += evals_done
+            _add_checkpoint_counters(report, counters)
         report.elapsed_seconds = time.perf_counter() - started
         return report
 
@@ -1620,6 +1388,31 @@ def _segment_payload(
     ]
 
 
+def _record_task(task):
+    """Worker entry: record one trace through :func:`_task_store`.
+
+    On a store file the task lands segments, manifest and metrics
+    itself, O(segment) memory.  For an in-memory parent store
+    (``target`` ``None``) it records into a private store whose rows
+    ship back for the parent to insert.  Only those rows and the
+    checkpoint counters cross the process boundary.
+    """
+    target, spec, system, seed, options = task
+    with _task_store(target) as store:
+        local = ExecutionReport()
+        record_trace(
+            spec, system, seed, experiment_store=store, report=local,
+            **options,
+        )
+        rows = None
+        if target is None:
+            meta = {entry.key: entry for entry in store.entries()}
+            rows = [
+                (key, blob, meta[key]) for key, blob in store.dump().items()
+            ]
+        return rows, _checkpoint_counters(local)
+
+
 def _replay_task(task) -> list[tuple[str, bytes]]:
     """Worker entry: replay one trace through one or more filters.
 
@@ -1710,18 +1503,23 @@ def execute_replays(
     """Record every missing trace once; replay every missing evaluation.
 
     Jobs targeting the same ``(workload, system, seed)`` are fused onto
-    one trace.  Recording (the expensive simulation) runs in the parent
-    process, one trace at a time; replays fan out on the selected
-    executor backend — one task per filter configuration when parallel
+    one trace.  Both stages fan out on the selected executor backend
+    under supervision (see :func:`_map_tasks`): recording (the expensive
+    simulation) as one ``record`` task per missing trace, then replays
+    as ``replay`` tasks — one per filter configuration when parallel
     workers are available (each decodes segments independently), or one
-    task per trace when serial (each segment then decodes exactly once
-    for all filters).  Evaluations land under the shared ``eval``
-    keyspace, byte-identical to live streamed or buffered ones.
+    per trace when serial (each segment then decodes exactly once for
+    all filters).  A quarantined recording leaves its trace's cells
+    empty.  Evaluations land under the shared ``eval`` keyspace,
+    byte-identical to live ones.
 
     ``checkpoint_every`` makes each *recording* checkpointable: an
     interrupted recording resumes at its last durable segment (see
     :func:`record_trace`) rather than re-recording from scratch.
     Replays need no checkpoints — they are already cheap restarts.
+    Checkpointed recordings into an in-memory store run in the parent,
+    which holds their only copy of the chain, so no deadline applies
+    to them.
 
     ``kernel`` selects the replay kernel (``"auto"`` vectorises
     supported filter families when NumPy is importable and falls back
@@ -1737,6 +1535,7 @@ def execute_replays(
     started = time.perf_counter()
     report = ExecutionReport(workers=max(1, workers))
     specs = specs if specs is not None else {}
+    backend_name = backend or "process"
     supervision = dict(
         report=report, policy=policy,
         task_timeout=task_timeout, fault_plan=fault_plan,
@@ -1757,7 +1556,9 @@ def execute_replays(
             filters[store_mod.eval_key(spec, name, job.system, job.seed)] = name
 
     # Phase 1 — ensure every group's trace (and metrics row) exists.
-    units = []
+    #: ``tkey -> (pairs to replay, loaded trace or None until recorded)``.
+    needed: dict[str, tuple[list[tuple[str, str]], tuple | None]] = {}
+    missing = []
     for tkey in sorted(grouped):
         job, filters = grouped[tkey]
         spec = specs[job.workload]
@@ -1767,6 +1568,7 @@ def execute_replays(
                 report.evals_cached += 1
             else:
                 pairs.append((ekey, filters[ekey]))
+        mkey = store_mod.sim_metrics_key(spec, job.system, job.seed)
         loaded = load_trace(experiment_store, tkey)
         if loaded is None:
             # Run-the-misses contract: when every requested evaluation
@@ -1774,7 +1576,6 @@ def execute_replays(
             # earlier streamed sweep) there is nothing to replay, so a
             # missing trace is not worth a full simulation — unless a
             # pure record job asked for the trace itself.
-            mkey = store_mod.sim_metrics_key(spec, job.system, job.seed)
             if (
                 not pairs
                 and tkey not in record_requested
@@ -1782,22 +1583,9 @@ def execute_replays(
             ):
                 report.sims_cached += 1
                 continue
-            record_trace(
-                spec, job.system, job.seed,
-                experiment_store=experiment_store,
-                chunk_size=job.chunk_size,
-                checkpoint_every=checkpoint_every,
-                report=report,
-                codec=job.codec,
-                measured_only=job.measured_only,
-                warm_filters=tuple(filters.values()) + job.warm_filters,
-            )
-            report.sims_run += 1
-            loaded = load_trace(experiment_store, tkey)
-            assert loaded is not None  # record_trace just wrote it
+            missing.append(tkey)
         else:
             report.sims_cached += 1
-            mkey = store_mod.sim_metrics_key(spec, job.system, job.seed)
             if not experiment_store.contains(mkey):
                 # The manifest embeds the run's metrics, so a trace can
                 # resurrect an evicted sim-metrics row byte-identically.
@@ -1809,17 +1597,66 @@ def execute_replays(
                     seed=job.seed,
                 )
         if pairs:
-            manifest, segment_keys = loaded
-            units.append((tkey, manifest, segment_keys, pairs, job))
+            needed[tkey] = (pairs, loaded)
+
+    # Missing traces record as supervised tasks, one per trace.  The
+    # serial backend records straight into the parent's store; so do
+    # checkpointed recordings into an in-memory store, whose chains
+    # live nowhere else.  Otherwise workers write a SQLite store file
+    # themselves or ship an in-memory recording's rows back.
+    in_parent = backend_name == "serial" or (
+        experiment_store.path is None and checkpoint_every is not None
+    )
+    if in_parent:
+        target = experiment_store
+    else:
+        target = experiment_store.path and str(experiment_store.path)
+    record_tasks = []
+    for tkey in missing:
+        job, filters = grouped[tkey]
+        options = dict(
+            chunk_size=job.chunk_size,
+            checkpoint_every=checkpoint_every,
+            codec=job.codec,
+            measured_only=job.measured_only,
+            warm_filters=tuple(filters.values()) + job.warm_filters,
+        )
+        record_tasks.append(
+            (target, specs[job.workload], job.system, job.seed, options)
+        )
+    outcomes = _map_tasks(
+        _record_task, record_tasks, workers,
+        "serial" if in_parent else backend, stage="record", **supervision
+    )
+    for tkey, outcome in zip(missing, outcomes):
+        if outcome is QUARANTINED:
+            # No trace, nothing to replay: its cells stay empty.
+            needed.pop(tkey, None)
+            continue
+        rows, counters = outcome
+        if rows is not None:
+            experiment_store.delete_trace(tkey)
+            for key, blob, entry in rows:
+                experiment_store.put_blob(
+                    key, blob, kind=entry.kind, workload=entry.workload,
+                    filter_name=entry.filter_name, n_cpus=entry.n_cpus,
+                    seed=entry.seed,
+                )
+        report.sims_run += 1
+        _add_checkpoint_counters(report, counters)
 
     # Phase 2 — replay, fanned out per filter configuration.
-    backend_name = backend or "process"
     parallel = backend_name != "serial" and workers > 1
     owners = {
         ekey: grouped[tkey] for tkey in grouped for ekey in grouped[tkey][1]
     }
     tasks = []
-    for tkey, manifest, segment_keys, pairs, job in units:
+    for tkey, (pairs, loaded) in needed.items():
+        job = grouped[tkey][0]
+        if loaded is None:
+            loaded = load_trace(experiment_store, tkey)
+            assert loaded is not None  # record_trace just wrote it
+        manifest, segment_keys = loaded
         path, segments = _segment_payload(experiment_store, segment_keys)
         phase_names = _phase_plan(specs[job.workload])[1]
         warm_states = _warm_states_for(experiment_store, manifest, pairs)
@@ -1904,6 +1741,22 @@ class StreamOutcome:
         return self.evaluations[filter_name].coverage.coverage
 
 
+def _stored_outcome(experiment_store, spec, system, seed, filters, report):
+    """Read one configuration's metrics and evaluations back."""
+    metrics = experiment_store.get_sim_metrics(
+        store_mod.sim_metrics_key(spec, system, seed)
+    )
+    assert metrics is not None  # every executor stores it
+    evaluations = {
+        name: experiment_store.get_eval(
+            store_mod.eval_key(spec, name, system, seed)
+        )
+        for name in filters
+    }
+    assert None not in evaluations.values()
+    return StreamOutcome(metrics=metrics, evaluations=evaluations, report=report)
+
+
 def evaluate_streaming(
     spec: WorkloadSpec | str,
     system: SystemConfig = SCALED_SYSTEM,
@@ -1918,9 +1771,9 @@ def evaluate_streaming(
     The front door to paper-scale runs: all ``filters`` ride the live
     snoop stream of one simulation, so cost is one simulation plus N
     cheap replays and memory stays O(chunk_size).  Results are
-    store-backed exactly like the buffered path — warm evaluations
-    (from either mode) are never recomputed, and the numbers are
-    byte-identical to buffered replays of the same configuration.
+    store-backed exactly like the replay path — warm evaluations
+    (from either executor) are never recomputed, and the numbers are
+    byte-identical to replays of the same configuration.
     """
     if isinstance(spec, str):
         spec = get_workload(spec)
@@ -1931,22 +1784,11 @@ def evaluate_streaming(
 
     filters = tuple(filters)
     job = StreamJob(spec.name, filters, system, seed, chunk_size)
-    report = execute_streams(
+    report = execute(
         [job], experiment_store=experiment_store, workers=1,
         specs={spec.name: spec},
     )
-    metrics = experiment_store.get_sim_metrics(
-        store_mod.sim_metrics_key(spec, system, seed)
-    )
-    assert metrics is not None
-    evaluations = {}
-    for name in filters:
-        evaluation = experiment_store.get_eval(
-            store_mod.eval_key(spec, name, system, seed)
-        )
-        assert evaluation is not None
-        evaluations[name] = evaluation
-    return StreamOutcome(metrics=metrics, evaluations=evaluations, report=report)
+    return _stored_outcome(experiment_store, spec, system, seed, filters, report)
 
 
 def evaluate_replay(
@@ -1990,18 +1832,7 @@ def evaluate_replay(
         workers=workers, backend=backend, specs={spec.name: spec},
         kernel=kernel,
     )
-    metrics = experiment_store.get_sim_metrics(
-        store_mod.sim_metrics_key(spec, system, seed)
-    )
-    assert metrics is not None  # record/restore guarantees it
-    evaluations = {}
-    for name in filters:
-        evaluation = experiment_store.get_eval(
-            store_mod.eval_key(spec, name, system, seed)
-        )
-        assert evaluation is not None
-        evaluations[name] = evaluation
-    return StreamOutcome(metrics=metrics, evaluations=evaluations, report=report)
+    return _stored_outcome(experiment_store, spec, system, seed, filters, report)
 
 
 # ----------------------------------------------------------------------
@@ -2034,7 +1865,6 @@ def run_sweep(
     warmup: int | None = None,
     preset: str | None = None,
     stream: bool = False,
-    replay: bool = False,
     backend: str | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     checkpoint_every: int | None = None,
@@ -2052,31 +1882,31 @@ def run_sweep(
     ``"paper-scale"``); every override participates in the store key, so
     modified runs never collide with stock ones.
 
-    With ``stream=True`` each (workload, seed) becomes one single-pass
-    :class:`StreamJob` evaluating all filters with O(chunk_size) memory —
-    the required mode for paper-scale access counts.  With
-    ``replay=True`` each (workload, seed) becomes a :class:`ReplayJob`:
-    the first sweep records the trace once, and every later sweep — any
+    By default each (workload, seed) becomes a :class:`ReplayJob`: the
+    first sweep records the trace once, and every later sweep — any
     filter set — replays it without simulating, fanning filter configs
-    out across ``workers`` on the chosen ``backend``.  Evaluations land
-    under the same store keys in every mode (they are byte-identical by
-    the determinism contract), so all modes warm each other.
+    out across ``workers`` on the chosen ``backend``.  With
+    ``stream=True`` each (workload, seed) instead becomes one
+    single-pass :class:`StreamJob` evaluating all filters live with
+    O(chunk_size) memory and no trace stored.  Evaluations land under
+    the same store keys either way (they are byte-identical by the
+    determinism contract), so the two warm each other.
 
-    ``checkpoint_every`` (streamed and replay modes only) snapshots each
-    in-flight simulation into the store every N accesses, so a killed
-    paper-scale sweep restarted with the same flags resumes from its
-    latest checkpoint and still lands byte-identical results.
+    ``checkpoint_every`` snapshots each in-flight simulation into the
+    store every N accesses, so a killed paper-scale sweep restarted with
+    the same flags resumes from its latest checkpoint and still lands
+    byte-identical results.
 
-    ``kernel`` (replay mode only) picks the replay kernel — ``"auto"``
-    vectorises supported families when NumPy is importable; results are
-    byte-identical either way.  Streamed and buffered sweeps always run
-    their banks on ``"auto"`` and accept only that.
+    ``kernel`` picks the replay kernel — ``"auto"`` vectorises supported
+    families when NumPy is importable; results are byte-identical either
+    way.  Streamed sweeps always run their banks on ``"auto"`` and
+    accept only that.
 
-    ``codec`` and ``measured_only`` (replay mode only) shape any *new*
-    recording the sweep performs — segment wire format and
-    measured-region-only capture with a fast-forward snapshot.  Like
-    ``chunk_size`` they are execution hints: already-recorded traces
-    replay as stored, and no store key changes.
+    ``codec`` and ``measured_only`` shape any *new* recording the sweep
+    performs — segment wire format and measured-region-only capture with
+    a fast-forward snapshot.  Like ``chunk_size`` they are execution
+    hints: already-recorded traces replay as stored, and no store key
+    changes.  Streamed sweeps record nothing and reject both.
 
     ``policy`` / ``task_timeout`` / ``fault_plan`` configure supervised
     execution (see :func:`_map_tasks`).  When tasks are quarantined the
@@ -2084,29 +1914,15 @@ def run_sweep(
     seed)`` cells are simply absent from ``evaluations`` and the
     report's fault counters say why.
     """
-    if kernel != "auto" and not replay:
+    if stream and kernel != "auto":
         raise ConfigurationError(
             "kernel selection applies to replay sweeps only: streamed "
-            "and buffered sweeps always run their filter banks on the "
-            "auto kernel"
+            "sweeps always run their filter banks on the auto kernel"
         )
-    if (codec != store_mod.DEFAULT_SEGMENT_CODEC or measured_only) and (
-        not replay
-    ):
+    if stream and (codec != store_mod.DEFAULT_SEGMENT_CODEC or measured_only):
         raise ConfigurationError(
             "codec and measured-only selection apply to replay sweeps "
-            "only: nothing else records traces"
-        )
-    if stream and replay:
-        raise ConfigurationError(
-            "choose stream=True or replay=True, not both: streaming "
-            "discards events as they are consumed, replay persists them"
-        )
-    if checkpoint_every is not None and not (stream or replay):
-        raise ConfigurationError(
-            "checkpoint_every applies to streamed or replay sweeps: "
-            "buffered simulations already persist whole recordings, so "
-            "there is no mid-run state to checkpoint"
+            "only: streamed sweeps record no trace"
         )
     if experiment_store is None:
         from repro.analysis import experiments
@@ -2124,7 +1940,20 @@ def run_sweep(
             spec = replace(spec, warmup_accesses=warmup)
         specs[name] = spec
 
-    if replay:
+    if stream:
+        stream_jobs = [
+            StreamJob(workload, tuple(filters), system, seed, chunk_size)
+            for workload in workloads
+            for seed in seeds
+        ]
+        report = execute(
+            stream_jobs,
+            experiment_store=experiment_store, workers=workers,
+            backend=backend, specs=specs,
+            checkpoint_every=checkpoint_every,
+            policy=policy, task_timeout=task_timeout, fault_plan=fault_plan,
+        )
+    else:
         replay_jobs = [
             ReplayJob(
                 workload, tuple(filters), system, seed, chunk_size,
@@ -2139,32 +1968,6 @@ def run_sweep(
             backend=backend, specs=specs,
             checkpoint_every=checkpoint_every,
             kernel=kernel,
-            policy=policy, task_timeout=task_timeout, fault_plan=fault_plan,
-        )
-    elif stream:
-        stream_jobs = [
-            StreamJob(workload, tuple(filters), system, seed, chunk_size)
-            for workload in workloads
-            for seed in seeds
-        ]
-        report = execute_streams(
-            stream_jobs,
-            experiment_store=experiment_store, workers=workers,
-            backend=backend, specs=specs,
-            checkpoint_every=checkpoint_every,
-            policy=policy, task_timeout=task_timeout, fault_plan=fault_plan,
-        )
-    else:
-        eval_jobs = [
-            EvalJob(workload, filter_name, system, seed)
-            for workload in workloads
-            for filter_name in filters
-            for seed in seeds
-        ]
-        report = execute(
-            (), eval_jobs,
-            experiment_store=experiment_store, workers=workers,
-            backend=backend, specs=specs,
             policy=policy, task_timeout=task_timeout, fault_plan=fault_plan,
         )
 

@@ -7,20 +7,22 @@ maps a *complete* configuration fingerprint — workload spec, full system
 geometry (both cache levels, associativity, block and subblock sizes),
 and seed — to a canonical, compressed JSON payload of the result.
 
-Five result kinds share the one table: ``sim`` (a full buffered
-:class:`SimResult`, event streams included), ``sim-metrics`` (the
-statistics of a *streamed* run, whose event streams were consumed on the
-fly and never retained), ``eval`` (one :class:`FilterEvaluation` —
-identical bytes whether it came from a buffered replay, a streaming
-pass, or a trace replay, which is what lets all modes share warm
-evaluations), ``sim-events`` (a persisted *trace*: the packed event
-shards of one simulation, recorded once so any number of filter
-configurations can replay them later without re-simulating), and
-``checkpoint`` (a mid-run snapshot of an in-flight streamed simulation —
-caches, write buffers, bus, filter banks, trace-sink watermarks, and
-generator state — keyed by the run's chain plus the access watermark, so
-a killed paper-scale run resumes from its latest durable point instead
-of restarting from zero).
+The result kinds share the one table: ``sim-metrics`` (the statistics
+of a simulation, whose event streams were consumed on the fly and never
+retained), ``eval`` (one :class:`FilterEvaluation` — identical bytes
+whether it came from a live streaming pass or a trace replay, which is
+what lets both executors share warm evaluations), ``sim-events`` (a
+persisted *trace*: the packed event shards of one simulation, recorded
+once so any number of filter configurations can replay them later
+without re-simulating), and ``checkpoint`` (a mid-run snapshot of an
+in-flight streamed simulation — caches, write buffers, bus, filter
+banks, trace-sink watermarks, and generator state — keyed by the run's
+chain plus the access watermark, so a killed paper-scale run resumes
+from its latest durable point instead of restarting from zero).  Older
+stores may also hold legacy ``sim`` rows (a full :class:`SimResult`,
+event streams included, as JSON triples): nothing writes or reads them
+any more, but ``fsck`` still validates them with :func:`decode_sim`,
+``cache info`` counts them, and ``gc`` evicts them like any other row.
 
 A trace is several rows of kind ``sim-events`` sharing one key prefix:
 a *manifest* row (``filter IS NULL``) under :func:`trace_key` holding
@@ -187,25 +189,14 @@ def _digest(obj) -> str:
     return hashlib.sha256(_canonical(obj)).hexdigest()
 
 
-def sim_key(spec: WorkloadSpec, system: SystemConfig, seed: int) -> str:
-    """Store key of one simulation run (workload x system x seed)."""
-    return _digest({
-        "kind": "sim",
-        "schema": SCHEMA_VERSION,
-        "spec": spec_fingerprint(spec),
-        "system": system_fingerprint(system),
-        "seed": seed,
-    })
-
-
 def sim_metrics_key(spec: WorkloadSpec, system: SystemConfig, seed: int) -> str:
     """Store key of one streamed simulation's metrics-only payload.
 
-    Streamed runs never retain event streams, so their results live under
-    a distinct kind: a buffered consumer asking for the full ``sim``
-    payload (streams included) must miss rather than receive a hollow
-    result.  The chunk size is deliberately absent — metrics are
-    chunk-size-invariant by the determinism contract.
+    Streamed and recording runs never retain event streams in memory,
+    so their results live under this metrics-only kind, apart from the
+    legacy ``sim`` rows (streams included) older stores may hold.  The
+    chunk size is deliberately absent — metrics are chunk-size-invariant
+    by the determinism contract.
     """
     return _digest({
         "kind": "sim-metrics",
@@ -488,11 +479,12 @@ def _decoding(kind: str):
 
 
 def encode_sim(result: SimResult) -> bytes:
-    """Canonical compressed payload bytes (deterministic per result)."""
+    """Legacy ``sim`` payload bytes (the inverse of :func:`decode_sim`)."""
     return zlib.compress(_canonical(sim_result_to_dict(result)), 6)
 
 
 def decode_sim(blob: bytes) -> SimResult:
+    """Decode a legacy ``sim`` row (``fsck`` validates old stores)."""
     with _decoding("sim"):
         return sim_result_from_dict(json.loads(zlib.decompress(blob)))
 
@@ -950,11 +942,13 @@ def decode_fast_forward(blob: bytes) -> dict:
 class StoreStats:
     """Summary of a store's contents (``repro cache info``)."""
 
+    #: Legacy ``sim`` rows (full event streams); nothing writes them now.
     sims: int
     evals: int
     payload_bytes: int
     path: str | None
-    #: Metrics-only results written by streamed runs (kind ``sim-metrics``).
+    #: Metrics-only results written by every simulation (kind
+    #: ``sim-metrics``).
     stream_sims: int = 0
     #: Persisted traces (``sim-events`` manifest rows; each trace also
     #: owns segment rows, all counted in ``bytes_by_kind``).
@@ -1211,39 +1205,6 @@ class ExperimentStore:
         return True
 
     # -- typed access ---------------------------------------------------
-
-    def get_sim(self, key: str) -> SimResult | None:
-        cached = self._live.get(key)
-        if cached is not None:
-            self._touch(key)
-            return cached  # type: ignore[return-value]
-        blob = self.get_blob(key)
-        if blob is None:
-            return None
-        result = decode_sim(blob)
-        self._live[key] = result
-        return result
-
-    def put_sim(self, key: str, result: SimResult, *, seed: int) -> None:
-        self._live[key] = result
-        self.put_blob(
-            key,
-            encode_sim(result),
-            kind="sim",
-            workload=result.workload,
-            filter_name=None,
-            n_cpus=result.n_cpus,
-            seed=seed,
-        )
-
-    def put_sim_blob(
-        self, key: str, blob: bytes, *, workload: str, n_cpus: int, seed: int
-    ) -> None:
-        """Persist an already-encoded simulation (worker round trips)."""
-        self.put_blob(
-            key, blob, kind="sim", workload=workload,
-            filter_name=None, n_cpus=n_cpus, seed=seed,
-        )
 
     def get_sim_metrics(self, key: str) -> SimResult | None:
         """Fetch a streamed run's metrics-only result (no event streams)."""

@@ -14,7 +14,7 @@ Examples::
     jetty-repro --store traces.sqlite trace record em3d --accesses 2e6
     jetty-repro --store traces.sqlite trace replay em3d --accesses 2e6 \
         --workers 2 --backend process
-    jetty-repro --store traces.sqlite sweep --replay --workloads lu radix
+    jetty-repro --store traces.sqlite sweep --workloads lu radix
     jetty-repro --store results.sqlite sweep --stream --preset paper-scale \
         --workloads em3d --checkpoint-every 500000
     jetty-repro --store results.sqlite checkpoint list
@@ -356,32 +356,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.core.config import parse_filter_name
     from repro.traces.workloads import get_workload
 
-    if args.preset == "paper-scale" and not (args.stream or args.replay):
-        print(
-            "error: --preset paper-scale requires --stream or --replay "
-            "(buffered mode materialises the full event trace in memory "
-            "at paper scale)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.stream and args.replay:
-        print("error: choose --stream or --replay, not both", file=sys.stderr)
-        return 2
-    if args.checkpoint_every is not None and not (args.stream or args.replay):
-        print(
-            "error: --checkpoint-every requires --stream or --replay "
-            "(buffered sweeps persist whole recordings; only streamed "
-            "simulations have mid-run state to checkpoint)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.kernel != "auto" and not args.replay:
-        print(
-            "error: --kernel requires --replay (streamed and buffered "
-            "sweeps always run their filter banks on the auto kernel)",
-            file=sys.stderr,
-        )
-        return 2
     workloads = args.workloads if args.workloads else list(WORKLOADS)
     filters = args.filters if args.filters else list(runner.DEFAULT_SWEEP_FILTERS)
     # Validate every name up front: a typo'd filter must not surface only
@@ -403,7 +377,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         warmup=args.warmup,
         preset=args.preset,
         stream=args.stream,
-        replay=args.replay,
         backend=args.backend,
         chunk_size=args.chunk_size,
         checkpoint_every=args.checkpoint_every,
@@ -430,10 +403,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             row.append(format_percent(sum(values) / len(values)))
         rows.append(row)
     title = f"sweep: {len(workloads)} workloads x {len(filters)} filters"
-    if args.stream:
-        title += " [streamed]"
-    if args.replay:
-        title += " [replayed]"
+    title += " [streamed]" if args.stream else " [replayed]"
     if len(seeds) > 1:
         title += f" (mean over seeds {seeds})"
     print(render_table(headers, rows, title=title))
@@ -1009,13 +979,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--warmup", type=_count, default=None,
                          help="override per-workload warm-up accesses")
     p_sweep.add_argument("--stream", action="store_true",
-                         help="single-pass streaming mode: evaluate all "
-                         "filters live with O(chunk) memory (required for "
-                         "paper-scale access counts)")
-    p_sweep.add_argument("--replay", action="store_true",
-                         help="record-once / replay-many mode: persist each "
-                         "(workload, seed) trace on first run, then replay "
-                         "it for every filter config without re-simulating")
+                         help="live single-pass mode: evaluate all "
+                         "filters as the simulation runs, O(chunk) memory "
+                         "and no trace stored, instead of the default "
+                         "record-once / replay-many mode")
     p_sweep.add_argument("--backend", default=None,
                          choices=runner.EXECUTOR_BACKENDS,
                          help="executor backend for worker fan-out "
@@ -1033,7 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="snapshot each streamed/recorded simulation "
                          "to the store every N accesses; a killed sweep "
                          "rerun with the same flags resumes from its "
-                         "latest checkpoint (requires --stream/--replay)")
+                         "latest checkpoint")
     p_sweep.add_argument("--task-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="per-task deadline under the process backend; "
@@ -1041,7 +1008,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: no deadline)")
     p_sweep.add_argument("--kernel", default="auto",
                          choices=REPLAY_KERNELS,
-                         help="replay kernel for --replay sweeps: auto "
+                         help="replay kernel (not with --stream): auto "
                          "vectorises supported filter families with NumPy "
                          "when available; results are byte-identical "
                          "across kernels")

@@ -234,7 +234,7 @@ def run_service_chaos(
             run_sweep(
                 list(workloads), tuple(filters), seeds=tuple(seeds),
                 experiment_store=clean_store, accesses=accesses,
-                warmup=warmup, replay=True, workers=1, backend="serial",
+                warmup=warmup, workers=1, backend="serial",
             )
         reference = _payloads(clean_path)
 

@@ -96,7 +96,6 @@ class ServiceWorker:
                 accesses=shard.get("accesses"),
                 warmup=shard.get("warmup"),
                 preset=shard.get("preset"),
-                replay=shard["mode"] == "replay",
                 stream=shard["mode"] == "stream",
                 checkpoint_every=shard.get("checkpoint_every"),
                 workers=1,

@@ -45,6 +45,7 @@ import hashlib
 import logging
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -55,6 +56,7 @@ logger = logging.getLogger("repro.testing.faults")
 __all__ = [
     "FAULT_PLANS",
     "FaultPlan",
+    "FaultTally",
     "InjectedFaultError",
     "ChaosResult",
     "corrupt_blobs",
@@ -160,6 +162,48 @@ class FaultPlan:
             time.sleep(float(arg))
             return worker(task)
         raise InjectedFaultError(str(arg))
+
+
+class FaultTally:
+    """A :class:`FaultPlan` stand-in that counts the faults it hands out.
+
+    The supervisor asks it, like the plan itself, for each attempt's
+    fault token (in the parent); :meth:`unexercised` then names the
+    enabled fault kinds a sweep never exercised.
+    """
+
+    invoke = staticmethod(FaultPlan.invoke)
+
+    def __init__(self, plan: FaultPlan) -> None:
+        self.plan = plan
+        self.fired: Counter = Counter()
+
+    def fault_for(self, stage: str, index: int, attempt: int, isolated: bool):
+        fault = self.plan.fault_for(stage, index, attempt, isolated)
+        if fault is not None:
+            self.fired[fault[0]] += 1
+        return fault
+
+    def unexercised(self, report, *, isolated: bool, timeout: bool) -> list:
+        """Raises and delays must have fired; with killable workers
+        (``isolated``) an exit must show as a pool crash in ``report``
+        and, under a deadline, a hang as a timeout.  Without them both
+        downgrade to raises."""
+        plan = self.plan
+        evidence = {
+            "raise": self.fired["raise"] > 0,
+            "delay": self.fired["delay"] > 0,
+        }
+        if isolated:
+            evidence["exit"] = report.worker_crashes > 0
+            evidence["hang"] = report.timeouts > 0 or not timeout
+        return [
+            kind for kind, rate in (
+                ("exit", plan.exit_rate), ("hang", plan.hang_rate),
+                ("raise", plan.raise_rate), ("delay", plan.delay_rate),
+            )
+            if rate > 0 and not evidence.get(kind, True)
+        ]
 
 
 #: Stock plans for tests and the ``repro chaos`` command.  ``none``
@@ -273,11 +317,14 @@ def run_chaos(
 
     Clean reference sweep → sabotaged sweep under ``plan`` → blob
     corruption → ``fsck`` (delete mode) → healing re-run → byte-compare
-    against the reference.  All stores are scratch in-memory instances;
-    the caller's store is never touched.  With ``demo_poison`` a
-    separate tiny sweep runs with one permanently poisoned simulation
-    to demonstrate quarantine accounting (on its own scratch store, so
-    the main oracle is unaffected).
+    against the reference.  The sweeps are default ones, so faults hit
+    both the ``record`` (simulation) and ``replay`` stages; the drill
+    fails if a fault kind the plan enables never fired (see
+    :meth:`FaultTally.unexercised`).  All stores are scratch in-memory
+    instances; the caller's store is never touched.  With
+    ``demo_poison`` a separate tiny sweep runs with one permanently
+    poisoned recording to demonstrate quarantine accounting (on its own
+    scratch store, so the main oracle is unaffected).
     """
     from repro.analysis.resilience import RetryPolicy
     from repro.analysis.runner import run_sweep
@@ -319,11 +366,21 @@ def run_chaos(
     run_sweep(workloads, filters, experiment_store=reference, **sweep_kwargs)
 
     store = ExperimentStore(None)
+    tally = FaultTally(plan)
     faulted = run_sweep(
         workloads, filters, experiment_store=store,
-        policy=policy, task_timeout=task_timeout, fault_plan=plan,
+        policy=policy, task_timeout=task_timeout, fault_plan=tally,
         **sweep_kwargs,
     ).report
+    unexercised = tally.unexercised(
+        faulted,
+        isolated=(
+            backend == "process"
+            and (workers > 1 or task_timeout is not None)
+            and faulted.backend_degraded is None
+        ),
+        timeout=task_timeout is not None,
+    )
 
     corrupted = corrupt_blobs(
         store, seed=plan.seed, fraction=plan.corrupt_fraction or 0.25,
@@ -339,7 +396,7 @@ def run_chaos(
     demo = None
     if demo_poison:
         demo_store = ExperimentStore(None)
-        demo_plan = replace(plan, poison=(("sim", 0),), raise_rate=1.0)
+        demo_plan = replace(plan, poison=(("record", 0),), raise_rate=1.0)
         demo = run_sweep(
             workloads[:1], filters[:1], experiment_store=demo_store,
             accesses=accesses, warmup=warmup, seeds=(tuple(seeds) or (1,))[:1],
@@ -358,6 +415,12 @@ def run_chaos(
         byte_identical=byte_identical,
         demo=demo,
     )
+    if unexercised:
+        raise ExecutionError(
+            "chaos drill failed: the sabotaged sweep never exercised "
+            f"{', '.join(unexercised)} faults the plan enables\n"
+            + result.summary()
+        )
     if not byte_identical:
         raise ExecutionError(
             "chaos drill failed: store diverged from the clean run\n"

@@ -600,10 +600,12 @@ def paper_scale(spec: WorkloadSpec, cap: int = PAPER_SCALE_CAP) -> WorkloadSpec:
 
     Only ``n_accesses`` changes: warm-up is a property of the cache
     geometry, not the trace length, so the spec's warm-up count is kept.
-    Run these through the streaming engine
-    (:func:`repro.analysis.runner.evaluate_streaming` or
-    ``repro sweep --stream``) — buffered mode would materialise the full
-    event trace.
+    Run these through ``repro sweep`` with a file ``--store`` (record
+    once, replay with O(segment) memory; the in-memory store would keep
+    the whole recording) or the live engine
+    (:func:`repro.analysis.runner.evaluate_streaming`, ``repro sweep
+    --stream``) — never through the in-memory ``run_workload``, which
+    would materialise the full event trace.
     """
     target = int(spec.paper.accesses_millions * 1_000_000)
     if cap:

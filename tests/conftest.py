@@ -61,3 +61,31 @@ def make_random_trace(
             address = (1 << 16) * (cpu + 1) + rng.randrange(private_span)
         trace.append((cpu, address & ~0x3, rng.random() < write_frac))
     return trace
+
+
+def put_legacy_sim(store, spec, system, seed: int = 1) -> str:
+    """Plant a legacy ``sim`` row (a full in-memory simulation) in a store.
+
+    Nothing writes this kind any more; older stores still hold such rows,
+    so tests build one under the key older versions used and return it.
+    """
+    from repro.analysis import runner
+    from repro.analysis import store as store_mod
+
+    key = store_mod._digest({
+        "kind": "sim",
+        "schema": store_mod.SCHEMA_VERSION,
+        "spec": store_mod.spec_fingerprint(spec),
+        "system": store_mod.system_fingerprint(system),
+        "seed": seed,
+    })
+    store.put_blob(
+        key,
+        store_mod.encode_sim(runner.compute_sim(spec, system, seed)),
+        kind="sim",
+        workload=spec.name,
+        filter_name=None,
+        n_cpus=system.n_cpus,
+        seed=seed,
+    )
+    return key

@@ -285,7 +285,7 @@ class TestStreamKillResumeByteIdentity:
         Every payload byte (``sim-metrics`` and ``eval``) must match.
         """
         clean = ExperimentStore()
-        runner.execute_streams(
+        runner.execute(
             _stream_jobs(filter_name, 1_000_000),
             experiment_store=clean, specs=SPECS,
         )
@@ -295,14 +295,14 @@ class TestStreamKillResumeByteIdentity:
                 interrupted = ExperimentStore()
                 with kill_after_checkpoints(interrupted, 1):
                     with pytest.raises(KeyboardInterrupt):
-                        runner.execute_streams(
+                        runner.execute(
                             _stream_jobs(filter_name, chunk_size),
                             experiment_store=interrupted, specs=SPECS,
                             checkpoint_every=k,
                         )
                 assert interrupted.stats().checkpoints == 1
                 resume_chunk = 512 if chunk_size != 512 else 1777
-                report = runner.execute_streams(
+                report = runner.execute(
                     _stream_jobs(filter_name, resume_chunk),
                     experiment_store=interrupted, specs=SPECS,
                     checkpoint_every=k,
@@ -319,7 +319,7 @@ class TestStreamKillResumeByteIdentity:
         interrupted = ExperimentStore()
         with kill_after_checkpoints(interrupted, 4):
             with pytest.raises(KeyboardInterrupt):
-                runner.execute_streams(
+                runner.execute(
                     _stream_jobs("EJ-8x2", 512),
                     experiment_store=interrupted, specs=SPECS,
                     checkpoint_every=900,
@@ -345,12 +345,12 @@ class TestStreamKillResumeByteIdentity:
         filters = ("EJ-8x2", "IJ-6x2x3")
         jobs = [runner.StreamJob(SPEC.name, filters, SCALED_SYSTEM, 1, 512)]
         clean = ExperimentStore()
-        runner.execute_streams(jobs, experiment_store=clean, specs=SPECS)
+        runner.execute(jobs, experiment_store=clean, specs=SPECS)
 
         interrupted = ExperimentStore()
         with kill_after_checkpoints(interrupted, 2):
             with pytest.raises(KeyboardInterrupt):
-                runner.execute_streams(
+                runner.execute(
                     jobs, experiment_store=interrupted, specs=SPECS,
                     checkpoint_every=900,
                 )
@@ -359,7 +359,7 @@ class TestStreamKillResumeByteIdentity:
             ekey, clean.get_blob(ekey), kind="eval", workload=SPEC.name,
             filter_name="EJ-8x2", n_cpus=4, seed=1,
         )
-        report = runner.execute_streams(
+        report = runner.execute(
             jobs, experiment_store=interrupted, specs=SPECS,
             checkpoint_every=900,
         )
@@ -371,11 +371,11 @@ class TestStreamKillResumeByteIdentity:
         """checkpoint_every alone never changes any stored byte, and a
         completed run leaves no checkpoint rows behind."""
         clean = ExperimentStore()
-        runner.execute_streams(
+        runner.execute(
             _stream_jobs("EJ-8x2", 1777), experiment_store=clean, specs=SPECS,
         )
         checkpointed = ExperimentStore()
-        report = runner.execute_streams(
+        report = runner.execute(
             _stream_jobs("EJ-8x2", 512), experiment_store=checkpointed,
             specs=SPECS, checkpoint_every=700,
         )
@@ -402,13 +402,6 @@ class TestStreamKillResumeByteIdentity:
         with pytest.raises(ConfigurationError):
             runner.compute_stream(
                 SPEC, SCALED_SYSTEM, 1, (), 512, checkpoint_every=100,
-            )
-
-    def test_run_sweep_rejects_buffered_checkpointing(self):
-        with pytest.raises(ConfigurationError):
-            runner.run_sweep(
-                [SPEC.name], ["EJ-8x2"], experiment_store=ExperimentStore(),
-                checkpoint_every=100,
             )
 
 
@@ -450,18 +443,18 @@ class TestCrossKernelResume:
     def _kill_then_resume(self, monkeypatch, filters, first, second):
         jobs = [runner.StreamJob(SPEC.name, filters, SCALED_SYSTEM, 1, 512)]
         clean = ExperimentStore()
-        runner.execute_streams(jobs, experiment_store=clean, specs=SPECS)
+        runner.execute(jobs, experiment_store=clean, specs=SPECS)
         interrupted = ExperimentStore()
         built = {first: [], second: []}
         _pin_kernel(monkeypatch, first, built[first])
         with kill_after_checkpoints(interrupted, 1):
             with pytest.raises(KeyboardInterrupt):
-                runner.execute_streams(
+                runner.execute(
                     jobs, experiment_store=interrupted, specs=SPECS,
                     checkpoint_every=1_300,
                 )
         _pin_kernel(monkeypatch, second, built[second])
-        report = runner.execute_streams(
+        report = runner.execute(
             jobs, experiment_store=interrupted, specs=SPECS,
             checkpoint_every=1_300,
         )
@@ -685,7 +678,7 @@ class TestRecordingKillResume:
             experiment_store=interrupted, specs=SPECS,
         )
         streamed = ExperimentStore()
-        runner.execute_streams(
+        runner.execute(
             _stream_jobs("EJ-8x2", 512), experiment_store=streamed,
             specs=SPECS,
         )
@@ -747,7 +740,7 @@ class TestCheckpointStoreHygiene:
         interrupted_jobs = _stream_jobs("EJ-8x2", 512)
         with kill_after_checkpoints(store, 1):
             with pytest.raises(KeyboardInterrupt):
-                runner.execute_streams(
+                runner.execute(
                     interrupted_jobs, experiment_store=store, specs=SPECS,
                     checkpoint_every=1_000,
                 )
@@ -759,20 +752,20 @@ class TestCheckpointStoreHygiene:
         """A chain written to SQLite resumes after a process 'restart'
         (store close + reopen), byte-identical to a clean run."""
         clean = ExperimentStore()
-        runner.execute_streams(
+        runner.execute(
             _stream_jobs("EJ-8x2", 1777), experiment_store=clean, specs=SPECS,
         )
         path = tmp_path / "resume.sqlite"
         first = ExperimentStore(path)
         with kill_after_checkpoints(first, 1):
             with pytest.raises(KeyboardInterrupt):
-                runner.execute_streams(
+                runner.execute(
                     _stream_jobs("EJ-8x2", 512), experiment_store=first,
                     specs=SPECS, checkpoint_every=1_300,
                 )
         first.close()
         second = ExperimentStore(path)
-        report = runner.execute_streams(
+        report = runner.execute(
             _stream_jobs("EJ-8x2", 1777), experiment_store=second,
             specs=SPECS, checkpoint_every=1_300,
         )

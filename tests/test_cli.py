@@ -115,35 +115,41 @@ class TestCommands:
 
     def test_sweep_replay_records_then_replays(self, tmp_path, capsys):
         store = str(tmp_path / "replay.sqlite")
-        argv = ["--store", store, "sweep", "--replay",
+        argv = ["--store", store, "sweep",
                 "--workloads", "test-tiny", "--filters", "EJ-8x2", "null"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "[replayed]" in out
         assert "sims: 1 run / 0 cached" in out
         assert "evals: 2 run / 0 cached" in out
+        # The default sweep records a trace and writes no sim row.
+        assert main(["--store", store, "cache", "info"]) == 0
+        out = capsys.readouterr().out
+        assert "sims:     0" in out
+        assert "traces:   1" in out
         # Warm: the recorded trace satisfies everything without simulating.
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "sims: 0 run / 1 cached" in out
         assert "evals: 0 run / 2 cached" in out
         # A *new* filter config still needs no simulation: pure replay.
-        assert main(["--store", store, "sweep", "--replay",
+        assert main(["--store", store, "sweep",
                      "--workloads", "test-tiny",
                      "--filters", "VEJ-16x2-4"]) == 0
         out = capsys.readouterr().out
         assert "sims: 0 run / 1 cached" in out
         assert "evals: 1 run / 0 cached" in out
 
-    def test_sweep_rejects_stream_plus_replay(self, capsys):
-        assert main(["sweep", "--stream", "--replay",
+    @pytest.mark.parametrize("option", (
+        ["--kernel", "numpy"],
+        ["--codec", "delta-v1"],
+        ["--measured-only"],
+    ))
+    def test_sweep_stream_rejects_replay_only_options(self, option, capsys):
+        assert main(["sweep", "--stream", *option,
                      "--workloads", "test-tiny"]) == 2
-        assert "not both" in capsys.readouterr().err
-
-    def test_sweep_checkpoint_every_requires_stream_or_replay(self, capsys):
-        assert main(["sweep", "--checkpoint-every", "1000",
-                     "--workloads", "test-tiny"]) == 2
-        assert "--checkpoint-every" in capsys.readouterr().err
+        assert "replay sweeps only" in capsys.readouterr().err
+        assert experiments.get_store().entries() == []
 
     def test_sweep_stream_with_checkpoints_completes_clean(self, tmp_path,
                                                            capsys):
@@ -177,7 +183,7 @@ class TestCommands:
 
         store.put_blob = bomb
         with pytest.raises(KeyboardInterrupt):
-            runner_mod.execute_streams(
+            runner_mod.execute(
                 [runner_mod.StreamJob(spec.name, ("EJ-8x2",))],
                 experiment_store=store, specs={spec.name: spec},
                 checkpoint_every=1_500,
@@ -243,12 +249,48 @@ class TestCommands:
         capsys.readouterr()
         assert main(["--store", store, "cache", "list"]) == 0
         out = capsys.readouterr().out
-        assert "sims:     1" in out
+        assert "traces:   1" in out
         assert "EJ-8x2" in out
+        rows = len(experiments.get_store().entries())
         assert main(["--store", store, "cache", "clear"]) == 0
-        assert "cleared 2 stored result(s)" in capsys.readouterr().out
+        assert f"cleared {rows} stored result(s)" in capsys.readouterr().out
         assert main(["--store", store, "cache"]) == 0
-        assert "sims:     0" in capsys.readouterr().out
+        assert "traces:   0" in capsys.readouterr().out
+
+    def test_legacy_sim_row_is_counted_validated_and_ignored(
+        self, tmp_path, capsys, monkeypatch, tiny_workload
+    ):
+        from repro.analysis import runner as runner_mod
+        from repro.coherence.config import SCALED_SYSTEM
+        from tests.conftest import put_legacy_sim
+
+        store_path = str(tmp_path / "legacy.sqlite")
+        store = experiments.set_store(store_path)
+        key = put_legacy_sim(store, tiny_workload, SCALED_SYSTEM)
+        assert main(["--store", store_path, "cache", "info"]) == 0
+        assert "sims:     1" in capsys.readouterr().out
+        assert main(["--store", store_path, "cache", "fsck"]) == 0
+        assert "store clean" in capsys.readouterr().out
+        # workload_metrics never reads the sim row: it simulates once.
+        live = runner_mod.compute_stream
+        calls = []
+        monkeypatch.setattr(
+            runner_mod, "compute_stream",
+            lambda *a, **k: calls.append(a) or live(*a, **k),
+        )
+        metrics = experiments.workload_metrics(tiny_workload.name)
+        assert len(calls) == 1
+        assert metrics.accesses == tiny_workload.n_accesses
+        # fsck still decodes the legacy row: damage to it is caught.
+        store = experiments.get_store()
+        blob = store.get_blob(key)
+        store.put_blob(
+            key, bytes([blob[0] ^ 0xFF]) + blob[1:], kind="sim",
+            workload=tiny_workload.name, filter_name=None,
+            n_cpus=SCALED_SYSTEM.n_cpus, seed=1,
+        )
+        assert main(["--store", store_path, "cache", "fsck"]) == 1
+        assert "1 corrupt" in capsys.readouterr().out
 
     def test_cache_info_in_memory_default(self, capsys):
         assert main(["cache", "info"]) == 0

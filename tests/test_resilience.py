@@ -32,7 +32,9 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.testing.faults import (
+    FAULT_PLANS,
     FaultPlan,
+    FaultTally,
     InjectedFaultError,
     corrupt_blobs,
     run_chaos,
@@ -263,7 +265,7 @@ class TestSweepFaultTolerance:
     def test_raises_then_byte_identical_to_clean_run(self):
         clean, faulted = ExperimentStore(), ExperimentStore()
         sweep_into(clean)
-        # Every sim and eval task fails once with a transient raise.
+        # Every record and replay task fails once with a transient raise.
         plan = FaultPlan(name="raise-once", seed=5, raise_rate=1.0,
                          max_faults_per_task=1)
         result = sweep_into(
@@ -289,14 +291,58 @@ class TestSweepFaultTolerance:
         assert result.report.quarantined == 0
         assert clean.dump() == faulted.dump()
 
-    def test_hung_sims_time_out_then_byte_identical_to_clean_run(self):
-        clean, faulted = ExperimentStore(), ExperimentStore()
+    @pytest.mark.parametrize("on_file", [False, True],
+                             ids=["memory", "file"])
+    def test_hung_recordings_time_out_then_byte_identical_to_clean_run(
+        self, tmp_path, on_file
+    ):
+        # Default sweeps: each trace recording is a supervised task.  On
+        # a store file the worker writes the trace itself; in memory it
+        # ships the recorded rows back.
+        clean = ExperimentStore()
         sweep_into(clean)
-        plan = FaultPlan(name="hang-sims", seed=7, hang_rate=1.0,
+        faulted = ExperimentStore(tmp_path / "f.sqlite" if on_file else None)
+        plan = FaultPlan(name="hang-recordings", seed=7, hang_rate=1.0,
                          hang_seconds=60.0, max_faults_per_task=1,
-                         stages=("sim",))
+                         stages=("record",))
         result = sweep_into(
             faulted, workers=2, backend="process",
+            policy=RetryPolicy(max_attempts=6, base_delay=0.001, seed=7),
+            task_timeout=1.0, fault_plan=plan,
+        )
+        assert result.report.timeouts >= 1
+        assert result.report.quarantined == 0
+        assert result.report.sims_run == 2
+        assert faulted.dump() == clean.dump()
+        assert faulted.fsck().clean
+        faulted.close()
+
+    def test_poisoned_recording_degrades_to_partial_result(self):
+        store = ExperimentStore()
+        plan = FaultPlan(name="poison-recording", seed=8,
+                         poison=(("record", 0),))
+        result = sweep_into(
+            store,
+            policy=RetryPolicy(max_attempts=2, base_delay=0.001, seed=8),
+            fault_plan=plan,
+        )
+        assert result.report.quarantined == 1
+        assert result.report.sims_run == 1
+        # One workload's trace was never recorded, so only the other
+        # workload's evaluations exist — and the report says so.
+        assert len(result.evaluations) == len(FILTERS)
+        assert "quarantined" in result.report.summary()
+        assert store.stats().traces == 1
+
+    def test_hung_sims_time_out_then_byte_identical_to_clean_run(self):
+        # Live sweeps: each simulation is a supervised worker task.
+        clean, faulted = ExperimentStore(), ExperimentStore()
+        sweep_into(clean, stream=True)
+        plan = FaultPlan(name="hang-sims", seed=7, hang_rate=1.0,
+                         hang_seconds=60.0, max_faults_per_task=1,
+                         stages=("stream",))
+        result = sweep_into(
+            faulted, workers=2, backend="process", stream=True,
             policy=RetryPolicy(max_attempts=6, base_delay=0.001, seed=7),
             task_timeout=1.0, fault_plan=plan,
         )
@@ -306,14 +352,14 @@ class TestSweepFaultTolerance:
 
     def test_poisoned_sim_degrades_to_partial_result(self):
         store = ExperimentStore()
-        plan = FaultPlan(name="poison-sim", seed=8, poison=(("sim", 0),))
+        plan = FaultPlan(name="poison-sim", seed=8, poison=(("stream", 0),))
         result = sweep_into(
-            store,
+            store, stream=True,
             policy=RetryPolicy(max_attempts=2, base_delay=0.001, seed=8),
             fault_plan=plan,
         )
         assert result.report.quarantined == 1
-        # One workload's sim never materialised, so only the other
+        # One workload's simulation never ran, so only the other
         # workload's evaluations exist — and the report says so.
         assert len(result.evaluations) == len(FILTERS)
         assert "quarantined" in result.report.summary()
@@ -386,10 +432,12 @@ class TestFsck:
 
 class TestChaosHarness:
     def test_mild_drill_converges_byte_identical(self):
+        # Four recordings and eight replays: enough draws for the plan
+        # to draw both of its fault kinds (raise and delay).
         result = run_chaos(
             "mild",
-            workloads=(WORKLOAD_A,), filters=FILTERS,
-            accesses=3_000, warmup=800, seeds=(1,),
+            workloads=(WORKLOAD_A, WORKLOAD_B), filters=FILTERS,
+            accesses=3_000, warmup=800, seeds=(1, 2),
             workers=2, backend="thread", task_timeout=None,
         )
         assert result.byte_identical
@@ -399,6 +447,36 @@ class TestChaosHarness:
         summary = result.summary()
         assert "chaos plan 'mild'" in summary
         assert "store byte-identical to clean run: yes" in summary
+
+    def test_drill_fails_when_an_enabled_fault_never_fires(self):
+        # A delay rate too small to ever draw: the drill must say so
+        # rather than pass without having exercised it.
+        plan = FaultPlan(name="rare-delay", seed=7, raise_rate=0.5,
+                         delay_rate=1e-12)
+        with pytest.raises(ExecutionError, match="never exercised delay"):
+            run_chaos(
+                plan,
+                workloads=(WORKLOAD_A,), filters=FILTERS,
+                accesses=3_000, warmup=800, seeds=(1,),
+                workers=2, backend="thread", task_timeout=None,
+                demo_poison=False,
+            )
+
+    def test_unexercised_faults_reads_the_report(self):
+        tally = FaultTally(FAULT_PLANS["aggressive"])
+        tally.fired["raise"] = tally.fired["delay"] = 1
+        quiet = runner.ExecutionReport()
+        assert tally.unexercised(
+            quiet, isolated=True, timeout=True
+        ) == ["exit", "hang"]
+        # Without a deadline a hang cannot show as a timeout; without
+        # killable workers exits and hangs downgrade to raises.
+        assert tally.unexercised(quiet, isolated=True, timeout=False) == [
+            "exit"
+        ]
+        assert tally.unexercised(quiet, isolated=False, timeout=True) == []
+        noisy = runner.ExecutionReport(worker_crashes=1, timeouts=2)
+        assert tally.unexercised(noisy, isolated=True, timeout=True) == []
 
     def test_unknown_plan_raises(self):
         with pytest.raises(ExecutionError):

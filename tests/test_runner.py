@@ -124,6 +124,7 @@ class TestWarmStore:
 
         monkeypatch.setattr(runner, "compute_sim", counting_sim)
         monkeypatch.setattr(runner, "simulate", counting_sim)
+        monkeypatch.setattr(runner, "simulate_streaming", counting_sim)
         second = sweep_into(store, workers=1)
         assert calls["sims"] == 0
         assert second.report.sims_run == 0
@@ -134,11 +135,12 @@ class TestWarmStore:
     def test_experiments_front_door_shares_the_store(self, tmp_path, monkeypatch):
         experiments.set_store(tmp_path / "shared.sqlite")
         sweep_into(experiments.get_store(), workers=1)
-        monkeypatch.setattr(
-            runner, "compute_sim",
-            lambda *a, **k: pytest.fail("store should satisfy this"),
-        )
-        result = experiments.run_workload(WORKLOAD_A)
+        for name in ("compute_stream", "record_trace", "simulate_streaming"):
+            monkeypatch.setattr(
+                runner, name,
+                lambda *a, **k: pytest.fail("store should satisfy this"),
+            )
+        result = experiments.workload_metrics(WORKLOAD_A)
         assert result.accesses == 3_000
         coverage = experiments.coverage_for(WORKLOAD_A, "EJ-8x2")
         assert 0.0 <= coverage <= 1.0
@@ -161,35 +163,38 @@ class TestStore:
     def test_live_identity_preserved(self, tmp_path):
         store = ExperimentStore(tmp_path / "id.sqlite")
         spec = WORKLOADS[WORKLOAD_A]
-        key = store_mod.sim_key(spec, SCALED_SYSTEM, 1)
+        key = store_mod.eval_key(spec, "EJ-8x2", SCALED_SYSTEM, 1)
         sim = runner.compute_sim(spec, SCALED_SYSTEM, 1)
-        store.put_sim(key, sim, seed=1)
-        assert store.get_sim(key) is sim
+        evaluation = runner.compute_eval(sim, "EJ-8x2", SCALED_SYSTEM)
+        store.put_eval(key, evaluation, workload=spec.name, n_cpus=4, seed=1)
+        assert store.get_eval(key) is evaluation
         with ExperimentStore(tmp_path / "id.sqlite") as fresh:
-            first = fresh.get_sim(key)
-            assert first is not sim  # decoded copy...
-            assert fresh.get_sim(key) is first  # ...memoised thereafter
+            first = fresh.get_eval(key)
+            assert first is not evaluation  # decoded copy...
+            assert fresh.get_eval(key) is first  # ...memoised thereafter
 
     def test_schema_version_change_invalidates(self, tmp_path, monkeypatch):
         path = tmp_path / "schema.sqlite"
         with ExperimentStore(path) as store:
             sweep_into(store, workers=1)
-            assert store.stats().sims == 2
+            assert store.stats().traces == 2
         monkeypatch.setattr(store_mod, "SCHEMA_VERSION", 99)
         with ExperimentStore(path) as reopened:
             stats = reopened.stats()
-        assert stats.sims == 0 and stats.evals == 0
+        assert stats.traces == 0 and stats.evals == 0
 
     def test_clear_and_stats(self, tmp_path):
         store = ExperimentStore(tmp_path / "c.sqlite")
         sweep_into(store, workers=1)
         stats = store.stats()
-        assert stats.sims == 2
+        assert stats.sims == 0  # nothing writes legacy sim rows
+        assert stats.traces == stats.stream_sims == 2
         assert stats.evals == len(FILTERS) * 2
         assert stats.payload_bytes > 0
         entries = store.entries()
-        assert len(entries) == stats.sims + stats.evals
-        assert {e.kind for e in entries} == {"sim", "eval"}
+        assert {e.kind for e in entries} == {
+            store_mod.TRACE_KIND, "sim-metrics", "eval"
+        }
         removed = store.clear()
         assert removed == len(entries)
         assert store.stats().payload_bytes == 0

@@ -111,7 +111,6 @@ def execute_shard(store: ExperimentStore, shard: dict) -> None:
         accesses=shard.get("accesses"),
         warmup=shard.get("warmup"),
         preset=shard.get("preset"),
-        replay=shard["mode"] == "replay",
         stream=shard["mode"] == "stream",
         workers=1,
         backend="serial",
@@ -338,7 +337,7 @@ def test_draining_refuses_cold_work_but_answers_warm():
     store = ExperimentStore(None)
     runner.run_sweep(
         [WORKLOAD_A], FILTERS, experiment_store=store,
-        replay=True, workers=1, backend="serial",
+        workers=1, backend="serial",
     )
     service = SweepService(store)
     service.begin_drain()
@@ -353,7 +352,7 @@ def test_warm_submission_answers_from_store():
     store = ExperimentStore(None)
     runner.run_sweep(
         [WORKLOAD_A, WORKLOAD_B], FILTERS, experiment_store=store,
-        replay=True, workers=1, backend="serial",
+        workers=1, backend="serial",
     )
     service = SweepService(store)
     status = service.submit(make_request())
@@ -368,7 +367,7 @@ def test_warm_result_lookup():
     store = ExperimentStore(None)
     runner.run_sweep(
         [WORKLOAD_A], FILTERS, experiment_store=store,
-        replay=True, workers=1, backend="serial",
+        workers=1, backend="serial",
     )
     service = SweepService(store)
     cell = service.warm_result({
@@ -452,7 +451,7 @@ def test_service_loop_byte_identical_per_family(tmp_path, filter_name):
     reference = ExperimentStore(None)
     runner.run_sweep(
         [WORKLOAD_A, WORKLOAD_B], (filter_name,), seeds=(1, 2),
-        experiment_store=reference, replay=True,
+        experiment_store=reference,
         workers=1, backend="serial",
     )
 
@@ -471,7 +470,7 @@ def test_worker_death_mid_lease_heals_byte_identical(tmp_path):
     reference = ExperimentStore(None)
     runner.run_sweep(
         [WORKLOAD_A, WORKLOAD_B], FILTERS, seeds=(1,),
-        experiment_store=reference, replay=True,
+        experiment_store=reference,
         workers=1, backend="serial",
     )
 
@@ -545,7 +544,7 @@ def test_server_sigkill_mid_sweep_resumes_byte_identical(tmp_path):
     reference = ExperimentStore(None)
     runner.run_sweep(
         ["lu"], ("EJ-32x4",), seeds=(1, 2), experiment_store=reference,
-        accesses=accesses, warmup=warmup, replay=True,
+        accesses=accesses, warmup=warmup,
         workers=1, backend="serial",
     )
 

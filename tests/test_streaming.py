@@ -418,21 +418,21 @@ class TestStreamSweeps:
             stream=stream, chunk_size=chunk_size,
         )
 
-    def test_streamed_sweep_matches_buffered_evaluations(
+    def test_streamed_sweep_matches_replayed_evaluations(
         self, sweep_workload, tmp_path
     ):
-        buffered_store = ExperimentStore(tmp_path / "buffered.sqlite")
+        replayed_store = ExperimentStore(tmp_path / "replayed.sqlite")
         streamed_store = ExperimentStore(tmp_path / "streamed.sqlite")
-        buffered = self._sweep(buffered_store, stream=False)
+        replayed = self._sweep(replayed_store, stream=False)
         streamed = self._sweep(streamed_store, stream=True)
 
         evals_of = lambda store: {
             e.key: store.get_blob(e.key)
             for e in store.entries() if e.kind == "eval"
         }
-        assert evals_of(buffered_store) == evals_of(streamed_store)
+        assert evals_of(replayed_store) == evals_of(streamed_store)
         for name in SWEEP_FILTERS:
-            assert buffered.coverage(SWEEP_WORKLOAD, name) == (
+            assert replayed.coverage(SWEEP_WORKLOAD, name) == (
                 streamed.coverage(SWEEP_WORKLOAD, name)
             )
         kinds = {e.kind for e in streamed_store.entries()}
@@ -457,20 +457,19 @@ class TestStreamSweeps:
         assert again.report.sims_cached == 1
         assert again.report.evals_cached == len(SWEEP_FILTERS)
 
-    def test_buffered_evaluations_warm_streamed_runs(
+    def test_replayed_evaluations_warm_streamed_runs(
         self, sweep_workload, tmp_path
     ):
         store = ExperimentStore(tmp_path / "warm.sqlite")
         self._sweep(store, stream=False)
         streamed = self._sweep(store, stream=True)
-        # Fully warm: evaluations are shared across modes, and the
-        # metrics-only payload is derived from the stored buffered
-        # simulation rather than re-simulated.
+        # Fully warm: evaluations are shared across executors, and the
+        # recording stored the metrics-only payload too.
         assert streamed.report.evals_run == 0
         assert streamed.report.evals_cached == len(SWEEP_FILTERS)
         assert streamed.report.sims_run == 0
         assert streamed.report.sims_cached == 1
-        # The derived payload is byte-identical to a genuinely streamed
+        # The recorded payload is byte-identical to a genuinely streamed
         # one: a fresh streamed store's sim-metrics row matches.
         fresh = ExperimentStore(tmp_path / "fresh.sqlite")
         self._sweep(fresh, stream=True)
@@ -480,33 +479,30 @@ class TestStreamSweeps:
         }
         assert metrics_rows(fresh) == metrics_rows(store)
 
-    def test_partially_warm_buffered_store_replays_instead_of_simulating(
+    def test_partially_warm_store_streams_only_the_missing_filter(
         self, sweep_workload, tmp_path, monkeypatch
     ):
         store = ExperimentStore(tmp_path / "partial.sqlite")
         runner.run_sweep(
-            (SWEEP_WORKLOAD,), SWEEP_FILTERS[:1],
-            experiment_store=store, stream=False,
+            (SWEEP_WORKLOAD,), SWEEP_FILTERS[:1], experiment_store=store,
         )
-        # The stored buffered recording must satisfy the second filter by
-        # replay — any attempt to simulate again is a failure.
+        # A live sweep never reads the stored trace: it simulates once,
+        # evaluating only the filter the store lacks.
+        attached = []
+        live = runner.compute_stream
+
+        def recording_stream(spec, system, seed, filter_names=(), *a, **k):
+            attached.append(tuple(filter_names))
+            return live(spec, system, seed, filter_names, *a, **k)
+
         with monkeypatch.context() as patched:
-            patched.setattr(
-                runner, "compute_stream",
-                lambda *a, **k: pytest.fail(
-                    "buffered recording should be replayed"
-                ),
-            )
-            patched.setattr(
-                runner, "compute_sim",
-                lambda *a, **k: pytest.fail("nothing should be simulated"),
-            )
+            patched.setattr(runner, "compute_stream", recording_stream)
             streamed = self._sweep(store, stream=True)
-        assert streamed.report.sims_run == 0
-        assert streamed.report.sims_cached == 1
-        assert streamed.report.evals_run == 1  # the second filter, replayed
+        assert attached == [SWEEP_FILTERS[1:]]
+        assert streamed.report.sims_run == 1
+        assert streamed.report.evals_run == 1
         assert streamed.report.evals_cached == 1
-        # Replay-derived rows are byte-identical to a fresh streamed run.
+        # Every row is byte-identical to a fresh streamed run's.
         fresh = ExperimentStore(tmp_path / "fresh-partial.sqlite")
         runner.run_sweep(
             (SWEEP_WORKLOAD,), SWEEP_FILTERS,
@@ -519,21 +515,22 @@ class TestStreamSweeps:
         assert rows(fresh, "eval") == rows(store, "eval")
         assert rows(fresh, "sim-metrics") == rows(store, "sim-metrics")
 
-    def test_streamed_evaluations_warm_buffered_sweeps(
+    def test_streamed_evaluations_warm_replay_sweeps(
         self, sweep_workload, tmp_path, monkeypatch
     ):
         store = ExperimentStore(tmp_path / "warm2.sqlite")
         self._sweep(store, stream=True)
-        # Every evaluation the buffered sweep wants is already stored, so
-        # it must not re-simulate just to park an unused recording.
+        # Every evaluation the replay sweep wants is already stored, so
+        # it must not simulate just to park an unused recording.
         monkeypatch.setattr(
-            runner, "compute_sim",
+            runner, "simulate_streaming",
             lambda *a, **k: pytest.fail("warm evals need no simulation"),
         )
-        buffered = self._sweep(store, stream=False)
-        assert buffered.report.evals_run == 0
-        assert buffered.report.evals_cached == len(SWEEP_FILTERS)
-        assert buffered.report.sims_run == 0
+        replayed = self._sweep(store, stream=False)
+        assert replayed.report.evals_run == 0
+        assert replayed.report.evals_cached == len(SWEEP_FILTERS)
+        assert replayed.report.sims_run == 0
+        assert store.stats().traces == 0
 
     def test_front_door_evaluate_filters_streaming(self, sweep_workload):
         outcome = experiments.evaluate_filters_streaming(

@@ -245,7 +245,7 @@ class TestCodecReplayByteIdentity:
         store = ExperimentStore(tmp_path / f"{codec}-{chunk_size}.sqlite")
         result = runner.run_sweep(
             (WORKLOAD,), FAMILY_FILTERS, experiment_store=store,
-            replay=True, chunk_size=chunk_size, codec=codec,
+            chunk_size=chunk_size, codec=codec,
         )
         assert result.report.sims_run == 1
         assert result.report.evals_run == len(FAMILY_FILTERS)
@@ -313,7 +313,6 @@ class TestTranscode:
         store = ExperimentStore(tmp_path / "legacy.sqlite")
         runner.run_sweep(
             (WORKLOAD,), FAMILY_FILTERS[:2], experiment_store=store,
-            replay=True,
         )
         return store, store_mod.trace_key(
             WORKLOADS[WORKLOAD], SCALED_SYSTEM, 1
@@ -582,11 +581,13 @@ class TestMeasuredOnly:
             runner.run_sweep(
                 (WORKLOAD,), ("EJ-8x2",),
                 experiment_store=ExperimentStore(), codec="delta-v1",
+                stream=True,
             )
         with pytest.raises(ConfigurationError, match="replay sweeps only"):
             runner.run_sweep(
                 (WORKLOAD,), ("EJ-8x2",),
                 experiment_store=ExperimentStore(), measured_only=True,
+                stream=True,
             )
 
 

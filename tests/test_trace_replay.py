@@ -3,9 +3,9 @@
 The trace layer's value rests on three claims, all pinned here:
 
 * **byte-identity** — replaying a persisted trace produces evaluation
-  (and restored metrics) payloads identical to the live streamed and
-  buffered paths', for every filter family, any recording chunk size,
-  and any worker count / executor backend;
+  (and restored metrics) payloads identical to the live streamed path's
+  and the in-memory reference's, for every filter family, any recording
+  chunk size, and any worker count / executor backend;
 * **chunk-invariant storage** — the trace rows themselves (manifest and
   segments) are byte-identical whatever chunk size the recording pass
   used, which is why chunk size never appears in a store key;
@@ -27,6 +27,7 @@ from repro.coherence.config import SCALED_SYSTEM
 from repro.coherence.smp import TraceSink
 from repro.errors import ConfigurationError
 from repro.traces.workloads import WORKLOADS, PaperReference, WorkloadSpec
+from tests.conftest import put_legacy_sim
 
 WORKLOAD = "test-trace-replay"
 
@@ -94,7 +95,7 @@ class TestReplayByteIdentity:
         )
         result = runner.run_sweep(
             (WORKLOAD,), FAMILY_FILTERS,
-            experiment_store=store, replay=True,
+            experiment_store=store,
             workers=workers, chunk_size=chunk_size,
         )
         assert result.report.sims_run == 1
@@ -112,27 +113,33 @@ class TestReplayByteIdentity:
                 store_mod.encode_eval(evaluations[name])
             ), (name, chunk_size, workers)
 
-    def test_replay_matches_buffered_evaluations(self, trace_workload, tmp_path):
-        buffered = ExperimentStore(tmp_path / "buffered.sqlite")
-        runner.run_sweep(
-            (WORKLOAD,), FAMILY_FILTERS, experiment_store=buffered,
-        )
+    def test_replay_matches_in_memory_evaluations(self, trace_workload, tmp_path):
+        spec = WORKLOADS[WORKLOAD]
+        sim = runner.compute_sim(spec, SCALED_SYSTEM, 1)
+        reference = {
+            store_mod.eval_key(spec, name, SCALED_SYSTEM, 1): (
+                store_mod.encode_eval(
+                    runner.compute_eval(sim, name, SCALED_SYSTEM)
+                )
+            )
+            for name in FAMILY_FILTERS
+        }
         replayed = ExperimentStore(tmp_path / "replayed.sqlite")
         runner.run_sweep(
-            (WORKLOAD,), FAMILY_FILTERS, experiment_store=replayed, replay=True,
+            (WORKLOAD,), FAMILY_FILTERS, experiment_store=replayed,
         )
-        assert _rows(buffered, "eval") == _rows(replayed, "eval")
+        assert _rows(replayed, "eval") == reference
 
     def test_thread_backend_is_byte_identical(self, trace_workload, tmp_path):
         serial = ExperimentStore(tmp_path / "serial.sqlite")
         threaded = ExperimentStore(tmp_path / "threaded.sqlite")
         runner.run_sweep(
             (WORKLOAD,), FAMILY_FILTERS, experiment_store=serial,
-            replay=True, backend="serial",
+            backend="serial",
         )
         runner.run_sweep(
             (WORKLOAD,), FAMILY_FILTERS, experiment_store=threaded,
-            replay=True, workers=2, backend="thread",
+            workers=2, backend="thread",
         )
         assert serial.dump() == threaded.dump()
 
@@ -141,15 +148,7 @@ class TestReplayByteIdentity:
             runner.run_sweep(
                 (WORKLOAD,), ("EJ-8x2",),
                 experiment_store=ExperimentStore(),
-                replay=True, workers=2, backend="quantum",
-            )
-
-    def test_stream_plus_replay_rejected(self, trace_workload):
-        with pytest.raises(ConfigurationError, match="not both"):
-            runner.run_sweep(
-                (WORKLOAD,), ("EJ-8x2",),
-                experiment_store=ExperimentStore(),
-                stream=True, replay=True,
+                workers=2, backend="quantum",
             )
 
 
@@ -205,7 +204,7 @@ class TestTraceStorage:
     def test_warm_trace_never_resimulates(self, trace_workload, monkeypatch):
         store = ExperimentStore()
         runner.run_sweep(
-            (WORKLOAD,), FAMILY_FILTERS[:2], experiment_store=store, replay=True,
+            (WORKLOAD,), FAMILY_FILTERS[:2], experiment_store=store,
         )
         monkeypatch.setattr(
             runner, "simulate_streaming",
@@ -213,7 +212,7 @@ class TestTraceStorage:
         )
         # New filters on the warm trace: replay only.
         result = runner.run_sweep(
-            (WORKLOAD,), FAMILY_FILTERS, experiment_store=store, replay=True,
+            (WORKLOAD,), FAMILY_FILTERS, experiment_store=store,
         )
         assert result.report.sims_run == 0
         assert result.report.sims_cached == 1
@@ -256,7 +255,7 @@ class TestTraceStorage:
         store = ExperimentStore(weird)
         result = runner.run_sweep(
             (WORKLOAD,), FAMILY_FILTERS[:2],
-            experiment_store=store, replay=True,
+            experiment_store=store,
         )
         assert result.report.evals_run == 2
 
@@ -318,13 +317,11 @@ class TestLegacyStore:
     def test_old_entries_untouched_by_recording(self, trace_workload, tmp_path):
         path = tmp_path / "legacy.sqlite"
         store = ExperimentStore(path)
-        # A "legacy" store: buffered sim + evals, streamed metrics.
+        # A "legacy" store: a sim row, streamed metrics and evals.
+        put_legacy_sim(store, WORKLOADS[WORKLOAD], SCALED_SYSTEM)
         runner.run_sweep(
             (WORKLOAD,), FAMILY_FILTERS[:2], experiment_store=store,
-        )
-        runner.run_sweep(
-            (WORKLOAD,), FAMILY_FILTERS[:2], experiment_store=store,
-            stream=True, seeds=(2,),
+            stream=True, seeds=(1, 2),
         )
         legacy = store.dump()
         assert {e.kind for e in store.entries()} == {
@@ -332,7 +329,7 @@ class TestLegacyStore:
         }
         # Record a trace and replay new filters into the same store.
         runner.run_sweep(
-            (WORKLOAD,), FAMILY_FILTERS, experiment_store=store, replay=True,
+            (WORKLOAD,), FAMILY_FILTERS, experiment_store=store,
         )
         after = store.dump()
         for key, blob in legacy.items():
@@ -343,8 +340,8 @@ class TestLegacyStore:
             assert reopened.stats().traces == 1
             for key, blob in legacy.items():
                 assert reopened.get_blob(key) == blob
-            sim_keys = [e.key for e in reopened.entries() if e.kind == "sim"]
-            assert reopened.get_sim(sim_keys[0]) is not None  # still decodes
+            [legacy] = [e.key for e in reopened.entries() if e.kind == "sim"]
+            assert store_mod.decode_sim(reopened.get_blob(legacy)).event_streams
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +352,7 @@ class TestStoreAccounting:
     def _recorded_store(self, tmp_path, name="acct"):
         store = ExperimentStore(tmp_path / f"{name}.sqlite")
         runner.run_sweep(
-            (WORKLOAD,), ("EJ-8x2",), experiment_store=store, replay=True,
+            (WORKLOAD,), ("EJ-8x2",), experiment_store=store,
         )
         return store
 
@@ -378,7 +375,7 @@ class TestStoreAccounting:
     ):
         store = ExperimentStore(tmp_path / "gc.sqlite" if persistent else None)
         runner.run_sweep(
-            (WORKLOAD,), ("EJ-8x2",), experiment_store=store, replay=True,
+            (WORKLOAD,), ("EJ-8x2",), experiment_store=store,
         )
         # Touch the non-trace rows so the trace is the LRU unit.
         for entry in store.entries():
@@ -400,7 +397,7 @@ class TestStoreAccounting:
         # Replaying a new filter touches the trace rows; an older eval
         # row must then be the eviction victim, not the trace.
         runner.run_sweep(
-            (WORKLOAD,), ("VEJ-16x2-4",), experiment_store=store, replay=True,
+            (WORKLOAD,), ("VEJ-16x2-4",), experiment_store=store,
         )
         stats = store.stats()
         first_eval_bytes = min(
@@ -415,7 +412,7 @@ class TestStoreAccounting:
     ):
         store = ExperimentStore(tmp_path / "dk.sqlite" if persistent else None)
         runner.run_sweep(
-            (WORKLOAD,), ("EJ-8x2",), experiment_store=store, replay=True,
+            (WORKLOAD,), ("EJ-8x2",), experiment_store=store,
         )
         assert store.delete_kind("eval") == 1
         assert store.stats().evals == 0

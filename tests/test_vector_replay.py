@@ -684,7 +684,7 @@ class TestRunnerKernelWiring:
             store = ExperimentStore(tmp_path / f"{kernel}.sqlite")
             runner.run_sweep(
                 (self.WORKLOAD,), PARITY_FILTERS,
-                experiment_store=store, replay=True, kernel=kernel,
+                experiment_store=store, kernel=kernel,
             )
             rows[kernel] = {
                 e.key: store.get_blob(e.key)

@@ -3,7 +3,7 @@
 The end-to-end guard behind the checkpoint feature's acceptance
 criterion, runnable locally and in CI:
 
-1. start ``repro sweep --replay --checkpoint-every N`` as a subprocess
+1. start ``repro sweep --checkpoint-every N`` as a subprocess
    against a fresh store;
 2. poll the store until the first checkpoint row is durable, then
    ``SIGKILL`` the process mid-run (no cleanup handlers get to run —
@@ -41,7 +41,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 def _sweep_argv(store: Path, args: argparse.Namespace) -> list[str]:
     return [
         sys.executable, "-m", "repro.cli", "--store", str(store),
-        "sweep", "--replay", "--workloads", args.workload,
+        "sweep", "--workloads", args.workload,
         "--filters", "EJ-32x4", "IJ-10x4x7",
         "--accesses", str(args.accesses), "--warmup", str(args.warmup),
         "--chunk-size", str(args.chunk_size),

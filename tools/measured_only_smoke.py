@@ -39,7 +39,7 @@ def _sweep(store: ExperimentStore, *, codec: str, measured_only: bool,
            kernel: str) -> float:
     started = time.perf_counter()
     runner.run_sweep(
-        [WORKLOAD], FILTERS, seeds=(SEED,), replay=True,
+        [WORKLOAD], FILTERS, seeds=(SEED,),
         experiment_store=store, accesses=ACCESSES, warmup=WARMUP,
         codec=codec, measured_only=measured_only, kernel=kernel,
         backend="serial",
