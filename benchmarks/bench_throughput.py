@@ -30,7 +30,13 @@ Protocol (identical across code versions, so numbers are comparable):
   streamed path, so this is the checkpoint price without cross-run
   machine noise); the target budget is under 5% at
   ``--checkpoint-every 500000`` (``--assert-checkpoint-overhead 0.05``
-  guards it).
+  guards it);
+* **exhibit** (full runs, or ``--exhibit-only``) — the cold wait for
+  ``repro figure 4a``: Figure 4(a) built into an empty store file in a
+  fresh interpreter, once pinned to one CPU and once on every CPU the
+  process may use, with the parent's and the pool workers' peak RSS
+  and a check that both runs stored byte-identical payloads.  Quick
+  mode sizes every application at a quarter of its registry size.
 
 Usage::
 
@@ -54,6 +60,7 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -80,6 +87,8 @@ FILTERS = runner.DEFAULT_SWEEP_FILTERS
 #: 2M-access streamed run with all four filter banks attached.
 FULL_SIZES = (2_000_000, 100_000, 200_000, 20_000)
 QUICK_SIZES = (120_000, 10_000, 60_000, 6_000)
+#: Share of the registry sizes at which a quick run builds Figure 4(a).
+EXHIBIT_QUICK_SCALE = 0.25
 
 
 def _sized(name: str, n_accesses: int, warmup: int):
@@ -294,6 +303,72 @@ def measure_trace_economics(name: str, n_accesses: int, warmup: int) -> dict:
     return entry
 
 
+#: Runs in a fresh interpreter: scales the registry by ``argv[1]``,
+#: builds Figure 4(a) into the empty store file ``argv[2]`` and prints
+#: one JSON line.
+_EXHIBIT_CHILD = r"""
+import dataclasses, hashlib, json, os, resource, sys, time
+from repro.analysis import experiments, figures
+from repro.traces import workloads
+
+scale, path = float(sys.argv[1]), sys.argv[2]
+for name, spec in list(workloads.WORKLOADS.items()):
+    workloads.WORKLOADS[name] = dataclasses.replace(
+        spec,
+        n_accesses=int(spec.n_accesses * scale),
+        warmup_accesses=int(spec.warmup_accesses * scale),
+    )
+store = experiments.set_store(path)
+started = time.perf_counter()
+figures.build_figure4a()
+seconds = time.perf_counter() - started
+digest = hashlib.sha256()
+for entry in sorted(store.entries(), key=lambda entry: entry.key):
+    if entry.kind in ("eval", "sim-metrics"):
+        digest.update(entry.key.encode() + store.get_blob(entry.key))
+print(json.dumps({
+    "cpus": len(os.sched_getaffinity(0)),
+    "seconds": round(seconds, 3),
+    "parent_peak_rss_mb": round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    "workers_peak_rss_mb": round(
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
+    "payload_digest": digest.hexdigest(),
+}))
+"""
+
+
+def measure_exhibit(scale: float) -> dict:
+    """Cold Figure 4(a) on one CPU and on every usable CPU.
+
+    Each run is a fresh interpreter with an empty store file, as a
+    first ``repro figure 4a`` would be; the timed region is the figure
+    build, without interpreter start-up.  The one-CPU run sets its own
+    affinity mask to the lowest usable CPU, as ``taskset -c`` would.
+    """
+    usable = sorted(os.sched_getaffinity(0))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH")))
+    )
+    entry = {"scale": scale}
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, cpus in (("one_cpu", usable[:1]), ("all_cpus", usable)):
+            path = Path(tmp) / f"{label}.sqlite"
+            done = subprocess.run(
+                [sys.executable, "-c", _EXHIBIT_CHILD, str(scale), str(path)],
+                env=env, check=True, capture_output=True, text=True,
+                preexec_fn=lambda cpus=cpus: os.sched_setaffinity(0, cpus),
+            )
+            entry[label] = json.loads(done.stdout.splitlines()[-1])
+    one, every = entry["one_cpu"], entry["all_cpus"]
+    entry["speedup"] = round(one["seconds"] / every["seconds"], 2)
+    entry["payloads_identical"] = (
+        one.pop("payload_digest") == every.pop("payload_digest")
+    )
+    return entry
+
+
 def measure_checkpointed(name: str, n_accesses: int, warmup: int,
                          every: int) -> dict:
     """One streamed run with mid-run checkpointing into a scratch store.
@@ -468,9 +543,24 @@ def run_benchmark(quick: bool, checkpoint_every: int | None = None,
                   supervision_overhead: bool = False,
                   supervision_only: bool = False,
                   trace_economics: bool = False,
-                  trace_economics_only: bool = False) -> dict:
+                  trace_economics_only: bool = False,
+                  exhibit: bool = False,
+                  exhibit_only: bool = False) -> dict:
     s_acc, s_warm, b_acc, b_warm = QUICK_SIZES if quick else FULL_SIZES
     results: dict = {"streamed": {}, "buffered": {}, "replay": {}}
+    if exhibit:
+        scale = EXHIBIT_QUICK_SCALE if quick else 1.0
+        print(f"exhibit figure 4a (cold, x{scale} registry sizes): one CPU "
+              "vs every usable CPU ...", flush=True)
+        entry = measure_exhibit(scale)
+        results["exhibit"] = {"figure4a": entry}
+        print(f"  one CPU {entry['one_cpu']['seconds']}s, "
+              f"{entry['all_cpus']['cpus']} CPUs "
+              f"{entry['all_cpus']['seconds']}s = x{entry['speedup']}; "
+              "payloads byte-identical: "
+              + ("yes" if entry["payloads_identical"] else "NO"), flush=True)
+    if exhibit_only:
+        return results
     if trace_economics:
         results["trace_economics"] = {}
         # A warm-up of a quarter of the run: the measured-region mode
@@ -672,6 +762,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="measure only the trace-economics A/B, "
                         "skipping the streamed/buffered/replay modes "
                         "(requires --assert-trace-bytes-per-access)")
+    parser.add_argument("--exhibit-only", action="store_true",
+                        help="measure only the cold Figure 4(a) wait on "
+                        "one CPU and on every usable CPU, skipping the "
+                        "streamed/buffered/replay modes (full runs "
+                        "measure it too)")
     args = parser.parse_args(argv)
     if args.trace_economics_only and (
         args.assert_trace_bytes_per_access is None
@@ -706,6 +801,8 @@ def main(argv: list[str] | None = None) -> int:
         trace_economics=(args.assert_trace_bytes_per_access is not None
                          or not args.quick),
         trace_economics_only=args.trace_economics_only,
+        exhibit=args.exhibit_only or not args.quick,
+        exhibit_only=args.exhibit_only,
     )
     document = {
         "schema": 1,
@@ -746,6 +843,13 @@ def main(argv: list[str] | None = None) -> int:
                 "eval_payloads_identical": entry["eval_payloads_identical"],
             }
             for name, entry in results["trace_economics"].items()
+        }
+
+    if "exhibit" in results:
+        entry = results["exhibit"]["figure4a"]
+        document["exhibit_figure4a_cold_seconds"] = {
+            "one_cpu": entry["one_cpu"]["seconds"],
+            "all_cpus": entry["all_cpus"]["seconds"],
         }
 
     previous = {}
@@ -825,6 +929,11 @@ def main(argv: list[str] | None = None) -> int:
                   f"{args.assert_checkpoint_overhead:.1%} budget",
                   file=sys.stderr)
             return 1
+    exhibit = results.get("exhibit")
+    if exhibit and not exhibit["figure4a"]["payloads_identical"]:
+        print("FAIL: cold Figure 4(a) stored different payloads on one CPU "
+              "and on every CPU", file=sys.stderr)
+        return 1
     if args.assert_trace_bytes_per_access is not None:
         for name, entry in results.get("trace_economics", {}).items():
             if not entry["eval_payloads_identical"]:

@@ -28,9 +28,11 @@ from repro.analysis.analytical import (
 from repro.analysis.experiments import (
     coverage_for,
     energy_reduction_for,
+    energy_reductions,
     evaluate_filter,
     evaluate_filters_replay,
     evaluate_filters_streaming,
+    evaluate_grid,
     get_store,
     run_workload,
     set_store,
@@ -81,9 +83,11 @@ __all__ = [
     "StreamJob",
     "coverage_for",
     "energy_reduction_for",
+    "energy_reductions",
     "evaluate_filter",
     "evaluate_filters_replay",
     "evaluate_filters_streaming",
+    "evaluate_grid",
     "evaluate_replay",
     "evaluate_streaming",
     "execute",

@@ -11,14 +11,23 @@ configuration fingerprint (workload spec, full system geometry, seed).
 and stores nothing.  By default the store is in-memory — the
 behaviour the bench suite always had — but pointing it at a file
 (``set_store(path)`` or the ``REPRO_STORE`` environment variable) makes
-every result durable across invocations.  Batched/parallel execution
-lives in :mod:`repro.analysis.runner`; the functions here are the
-convenient one-at-a-time front door that shares the same store.
+every result durable across invocations.
+
+The front door is a grid: :func:`evaluate_grid` answers a whole
+workload x filter exhibit in one pass.  It reads every stored cell
+first, then hands the misses to :mod:`repro.analysis.runner` as one
+record-and-replay job per workload, so the recordings run concurrently
+on the CPUs the process may use (its affinity mask; ``taskset -c 0``
+makes the run serial), one worker per workload at most, and each trace
+is decoded once for all of its filters.  The one-cell functions
+(:func:`evaluate_filter`, :func:`coverage_for`,
+:func:`energy_reduction_for`) are grids of one.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,9 +35,10 @@ from repro.analysis import runner, store as store_mod
 from repro.analysis.store import ExperimentStore
 from repro.coherence.config import SCALED_SYSTEM, SystemConfig
 from repro.coherence.metrics import SimResult
+from repro.core.config import parse_filter_name
 from repro.core.stats import FilterEvaluation
 from repro.energy.accounting import EnergyAccountant, EnergyReduction
-from repro.errors import ConfigurationError
+from repro.errors import TaskQuarantinedError
 from repro.traces.workloads import WORKLOADS, get_workload
 
 _STORE: ExperimentStore | None = None
@@ -109,54 +119,123 @@ def workload_metrics(
     return metrics
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, as its affinity mask says."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+def _fill_grid(
+    store: ExperimentStore,
+    specs: dict,
+    missing: dict[str, list[str]],
+    system: SystemConfig,
+    seed: int,
+) -> None:
+    """Compute the missing cells, one record-and-replay job per workload.
+
+    A stored measured-only trace that did not warm a filter cannot
+    replay it, and it is the user's recording, so those cells are
+    evaluated live instead of re-recording over it.
+    """
+    for names in missing.values():
+        for name in names:
+            parse_filter_name(name)  # fail before simulating anything
+    # One worker per usable CPU, but never more than there are
+    # workloads to record: a grid of one (the one-cell front door) runs
+    # serially in this process, recording straight into the store.
+    workers = min(_usable_cpus(), len(missing))
+    options = dict(
+        experiment_store=store, specs=specs, workers=workers,
+        backend="process" if workers > 1 else "serial",
+    )
+    live, replayed = [], []
+    for workload, names in missing.items():
+        unservable = runner.unservable_filters(
+            store, specs[workload], system, seed, names
+        )
+        if unservable:
+            live.append(runner.StreamJob(workload, unservable, system, seed))
+        servable = tuple(name for name in names if name not in unservable)
+        if servable:
+            replayed.append(runner.ReplayJob(workload, servable, system, seed))
+    if live:
+        runner.execute(live, **options)
+    if replayed:
+        runner.execute_replays(replayed, **options)
+
+
+def evaluate_grid(
+    workloads: Iterable[str],
+    filter_names: Iterable[str],
+    system: SystemConfig = SCALED_SYSTEM,
+    seed: int = 1,
+) -> dict[tuple[str, str], FilterEvaluation]:
+    """Evaluate every filter over every workload (store-backed).
+
+    Returns ``(workload, filter) -> evaluation``, the system-wide merge
+    over nodes that the paper reports.  Stored ``eval`` rows answer
+    first, so a warm grid touches no trace and starts no executor.  The
+    missing cells run as one :class:`~repro.analysis.runner.ReplayJob`
+    per workload through :func:`~repro.analysis.runner.execute_replays`:
+    a workload without a stored trace is simulated once into one, and
+    every filter on it is a replay of that trace.  Workers follow the
+    CPUs this process may use, capped at the number of workloads with
+    missing cells: the ``process`` backend when that leaves several,
+    ``serial`` when it leaves one (``taskset -c 0``, or a one-workload
+    grid such as :func:`evaluate_filter`).  Results are byte-identical
+    either way.  A cell that the executor quarantined raises
+    :class:`~repro.errors.TaskQuarantinedError`; the grid never comes
+    back with holes.
+    """
+    store = get_store()
+    specs = {name: get_workload(name) for name in workloads}
+    names = tuple(dict.fromkeys(filter_names))
+    keys = {
+        (workload, name): store_mod.eval_key(spec, name, system, seed)
+        for workload, spec in specs.items()
+        for name in names
+    }
+    grid = {cell: store.get_eval(key) for cell, key in keys.items()}
+    missing: dict[str, list[str]] = {}
+    for (workload, name), evaluation in grid.items():
+        if evaluation is None:
+            missing.setdefault(workload, []).append(name)
+    if missing:
+        _fill_grid(store, specs, missing, system, seed)
+        holes = []
+        for cell, evaluation in grid.items():
+            if evaluation is None:
+                # Read back through the store's decoded cache, so every
+                # later call returns this same object.
+                grid[cell] = store.get_eval(keys[cell])
+                if grid[cell] is None:
+                    holes.append(cell)
+        if holes:
+            raise TaskQuarantinedError(
+                f"{len(holes)} evaluation(s) failed every attempt and were "
+                "quarantined: "
+                + ", ".join(f"{name} on {workload}" for workload, name in holes)
+            )
+    return grid
+
+
 def evaluate_filter(
     workload: str,
     filter_name: str,
     system: SystemConfig = SCALED_SYSTEM,
     seed: int = 1,
 ) -> FilterEvaluation:
-    """Evaluate one filter over one workload (store-backed).
+    """Evaluate one filter over one workload: a grid of one cell.
 
     Each node gets its own freshly built filter; the returned evaluation
-    is the system-wide merge, as the paper reports.  A stored ``eval``
-    row answers directly.  Otherwise the workload's stored trace is
-    replayed with the ``auto`` kernel; with no trace, the workload is
-    simulated once into a full trace first, so every later filter on it
-    is a replay.  A stored trace that cannot serve this filter (a
-    measured-only recording that did not warm it) is left alone and the
-    filter is evaluated in one live streaming pass instead.
+    is the system-wide merge, as the paper reports.  See
+    :func:`evaluate_grid`.
     """
-    spec = get_workload(workload)
-    store = get_store()
-    key = store_mod.eval_key(spec, filter_name, system, seed)
-    evaluation = store.get_eval(key)
-    if evaluation is not None:
-        return evaluation
-    try:
-        replayed = runner.replay_filter_from_store(
-            spec, filter_name, system, seed, experiment_store=store,
-        )
-    except ConfigurationError:
-        # The stored trace cannot serve this filter (a measured-only
-        # recording that did not warm it).  It is the user's recording,
-        # so evaluate live rather than re-record over it.
-        _metrics, evaluations = runner.compute_stream(
-            spec, system, seed, (filter_name,)
-        )
-        evaluation = evaluations[filter_name]
-        store.put_eval(
-            key, evaluation,
-            workload=spec.name, n_cpus=system.n_cpus, seed=seed,
-        )
-        return evaluation
-    if replayed is None:
-        runner.record_trace(spec, system, seed, experiment_store=store)
-        runner.replay_filter_from_store(
-            spec, filter_name, system, seed, experiment_store=store,
-        )
-    # Read back through the store's decoded cache, so every later call
-    # returns this same object.
-    return store.get_eval(key)
+    grid = evaluate_grid((workload,), (filter_name,), system, seed)
+    return grid[workload, filter_name]
 
 
 def evaluate_filters_streaming(
@@ -226,6 +305,28 @@ def _accountant(system: SystemConfig) -> EnergyAccountant:
     return _ACCOUNTANTS[0]
 
 
+def energy_reductions(
+    workloads: Iterable[str],
+    filter_names: Iterable[str],
+    system: SystemConfig = SCALED_SYSTEM,
+    seed: int = 1,
+) -> dict[tuple[str, str], EnergyReduction]:
+    """Figure 6's four reduction numbers for every (workload, filter)."""
+    # Filters first: their recordings store the metrics rows read next,
+    # so a cold store simulates each workload once, not twice.
+    grid = evaluate_grid(workloads, filter_names, system, seed)
+    accountant = _accountant(system)
+    metrics: dict[str, SimResult] = {}
+    reductions = {}
+    for (workload, filter_name), evaluation in grid.items():
+        if workload not in metrics:
+            metrics[workload] = workload_metrics(workload, system, seed)
+        reductions[workload, filter_name] = accountant.reduction(
+            metrics[workload].aggregate, evaluation, filter_name
+        )
+    return reductions
+
+
 def energy_reduction_for(
     workload: str,
     filter_name: str,
@@ -233,11 +334,8 @@ def energy_reduction_for(
     seed: int = 1,
 ) -> EnergyReduction:
     """Figure 6's four reduction numbers for one (workload, filter)."""
-    # Filter first: its recording stores the metrics row read next, so a
-    # cold store simulates the workload once, not twice.
-    evaluation = evaluate_filter(workload, filter_name, system, seed)
-    result = workload_metrics(workload, system, seed)
-    return _accountant(system).reduction(result.aggregate, evaluation, filter_name)
+    reductions = energy_reductions((workload,), (filter_name,), system, seed)
+    return reductions[workload, filter_name]
 
 
 @dataclass(frozen=True)
@@ -263,13 +361,13 @@ def summarize_nway(
     """
     system = SCALED_SYSTEM.with_cpus(n_cpus)
     names = workloads if workloads is not None else tuple(WORKLOADS)
-    miss_fracs = []
-    coverages = []
-    for name in names:
-        # Filter first, as in energy_reduction_for: one simulation each.
-        coverages.append(coverage_for(name, filter_name, system, seed))
-        result = workload_metrics(name, system, seed)
-        miss_fracs.append(result.snoop_miss_fraction_of_all)
+    # Filter first, as in energy_reductions: one simulation each.
+    grid = evaluate_grid(names, (filter_name,), system, seed)
+    coverages = [grid[name, filter_name].coverage.coverage for name in names]
+    miss_fracs = [
+        workload_metrics(name, system, seed).snoop_miss_fraction_of_all
+        for name in names
+    ]
     return NWaySummary(
         n_cpus=n_cpus,
         snoop_miss_of_all=sum(miss_fracs) / len(miss_fracs),

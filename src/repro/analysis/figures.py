@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.analytical import AnalyticalEnergyModel
-from repro.analysis.experiments import coverage_for, energy_reduction_for
+from repro.analysis.experiments import energy_reductions, evaluate_grid
 from repro.coherence.config import SCALED_SYSTEM, SystemConfig
 from repro.core.config import (
     PAPER_EJ_NAMES,
@@ -88,12 +88,12 @@ def _coverage_figure(
     seed: int,
 ) -> FigureData:
     data = FigureData(figure_id=figure_id, title=title)
+    workloads = tuple(WORKLOADS)
+    grid = evaluate_grid(workloads, config_names, system, seed)
     for config_name in config_names:
         series = FigureSeries(label=config_name)
-        for workload in WORKLOADS:
-            series.values[workload] = coverage_for(
-                workload, config_name, system, seed
-            )
+        for workload in workloads:
+            series.values[workload] = grid[workload, config_name].coverage.coverage
         data.series.append(series)
     return data
 
@@ -174,11 +174,15 @@ def build_figure6(
         "c": FIGURE6_BCD_NAMES,
         "d": FIGURE6_BCD_NAMES,
     }
+    workloads = tuple(WORKLOADS)
+    reductions = energy_reductions(
+        workloads, PAPER_HJ_NAMES + FIGURE6_BCD_NAMES, system, seed
+    )
     for panel, config_names in panel_configs.items():
         for config_name in config_names:
             series = FigureSeries(label=config_name)
-            for workload in WORKLOADS:
-                reduction = energy_reduction_for(workload, config_name, system, seed)
+            for workload in workloads:
+                reduction = reductions[workload, config_name]
                 series.values[workload] = {
                     "a": reduction.over_snoops_serial,
                     "b": reduction.over_all_serial,

@@ -27,7 +27,9 @@ instantiating caches, bus, or nodes.  Recordings fan out as one
 supervised task per trace; replay tasks fan out across workers that
 each open the store read-only and decode segments independently, so a
 warm filter sweep costs O(filters x replay) instead of O(filters x
-simulation), and parallelises per filter configuration.
+simulation).  A replay task serves all of a trace's filters, unless
+there are fewer traces than workers: then each filter configuration
+is a task of its own.
 
 **Live.**  :func:`execute` runs each :class:`StreamJob` as one pass: the
 simulation emits bounded event *shards* (see the shard/marker protocol
@@ -1289,14 +1291,12 @@ def _warm_states_for(
     """
     if not manifest.get("measured_only"):
         return None
-    blob = experiment_store.get_blob(manifest["fast_forward"])
-    if blob is None:
+    states = _fast_forward_states(experiment_store, manifest)
+    if states is None:
         # load_trace checked presence; a vanish since then is corruption.
         raise StoreCorruptionError(
             "fast-forward snapshot vanished from the store mid-replay"
         )
-    payload = store_mod.decode_fast_forward(blob)
-    states = payload["filters"]
     missing = sorted({name for _ekey, name in pairs} - set(states))
     if missing:
         raise ConfigurationError(
@@ -1307,6 +1307,49 @@ def _warm_states_for(
             "time)"
         )
     return {name: states[name] for _ekey, name in pairs}
+
+
+def _fast_forward_states(
+    experiment_store: ExperimentStore, manifest: dict
+) -> dict[str, list[dict]] | None:
+    """A measured-only trace's per-node warm states by filter name.
+
+    ``None`` when the fast-forward snapshot is not in the store.
+    """
+    blob = experiment_store.get_blob(manifest["fast_forward"])
+    if blob is None:
+        return None
+    return store_mod.decode_fast_forward(blob)["filters"]
+
+
+def unservable_filters(
+    experiment_store: ExperimentStore,
+    spec: WorkloadSpec,
+    system: SystemConfig,
+    seed: int,
+    filter_names,
+) -> tuple[str, ...]:
+    """The filters a stored measured-only trace holds no warm state for.
+
+    Such a trace cannot replay them byte-identically (see
+    :func:`_warm_states_for`), and re-recording it would overwrite the
+    user's recording, so callers evaluate these filters live instead.
+    Empty when the store holds a full trace, no trace, or a
+    measured-only trace without its snapshot (which, like any
+    incomplete trace, :func:`execute_replays` records afresh).  Only
+    the manifest is read, and the snapshot only for measured-only
+    traces; segments are not probed.
+    """
+    blob = experiment_store.get_blob(store_mod.trace_key(spec, system, seed))
+    if blob is None:
+        return ()
+    manifest = store_mod.decode_trace_manifest(blob)
+    if not manifest.get("measured_only"):
+        return ()
+    states = _fast_forward_states(experiment_store, manifest)
+    if states is None:
+        return ()
+    return tuple(name for name in filter_names if name not in states)
 
 
 def transcode_trace(
@@ -1487,6 +1530,24 @@ def _replay_task(task) -> list[tuple[str, bytes]]:
             connection.close()
 
 
+#: Recording time of one L1 miss over that of one access, as measured on
+#: the registry workloads: a miss is a bus transaction that every other
+#: node snoops, an access that hits is a tag lookup.
+_MISS_COST = 12.0
+
+
+def _record_cost(spec: WorkloadSpec) -> float:
+    """Relative time to record ``spec``; used only to order record tasks.
+
+    Accesses weighted by their expected L1 misses (from the paper's L1
+    hit rate the workload is tuned to).  So em3d, the most snoop-bound
+    application, ranks first although it has the fewest accesses.
+    Specs without a paper reference (zero hit rate) rank by accesses.
+    """
+    accesses = spec.n_accesses + spec.warmup_accesses
+    return accesses * (1.0 + _MISS_COST * (1.0 - spec.paper.l1_hit_rate))
+
+
 def execute_replays(
     replay_jobs: list[ReplayJob] | tuple[ReplayJob, ...],
     *,
@@ -1505,12 +1566,13 @@ def execute_replays(
     Jobs targeting the same ``(workload, system, seed)`` are fused onto
     one trace.  Both stages fan out on the selected executor backend
     under supervision (see :func:`_map_tasks`): recording (the expensive
-    simulation) as one ``record`` task per missing trace, then replays
-    as ``replay`` tasks — one per filter configuration when parallel
-    workers are available (each decodes segments independently), or one
-    per trace when serial (each segment then decodes exactly once for
-    all filters).  A quarantined recording leaves its trace's cells
-    empty.  Evaluations land under the shared ``eval`` keyspace,
+    simulation) as one ``record`` task per missing trace, costliest
+    first (see :func:`_record_cost`), then replays as ``replay`` tasks
+    — one per trace (each segment then decodes exactly once for all
+    filters), or one per filter configuration when there are fewer
+    traces to replay than parallel workers (each task then decodes its
+    trace independently).  A quarantined recording leaves its trace's
+    cells empty.  Evaluations land under the shared ``eval`` keyspace,
     byte-identical to live ones.
 
     ``checkpoint_every`` makes each *recording* checkpointable: an
@@ -1569,20 +1631,20 @@ def execute_replays(
             else:
                 pairs.append((ekey, filters[ekey]))
         mkey = store_mod.sim_metrics_key(spec, job.system, job.seed)
+        # Run-the-misses contract: when every requested evaluation and
+        # the metrics row are already stored (e.g. warmed by an earlier
+        # streamed sweep) there is nothing to replay, so the trace is
+        # neither loaded nor, when missing, worth a full simulation —
+        # unless a pure record job asked for the trace itself.
+        if (
+            not pairs
+            and tkey not in record_requested
+            and experiment_store.contains(mkey)
+        ):
+            report.sims_cached += 1
+            continue
         loaded = load_trace(experiment_store, tkey)
         if loaded is None:
-            # Run-the-misses contract: when every requested evaluation
-            # and the metrics row are already stored (e.g. warmed by an
-            # earlier streamed sweep) there is nothing to replay, so a
-            # missing trace is not worth a full simulation — unless a
-            # pure record job asked for the trace itself.
-            if (
-                not pairs
-                and tkey not in record_requested
-                and experiment_store.contains(mkey)
-            ):
-                report.sims_cached += 1
-                continue
             missing.append(tkey)
         else:
             report.sims_cached += 1
@@ -1611,6 +1673,11 @@ def execute_replays(
         target = experiment_store
     else:
         target = experiment_store.path and str(experiment_store.path)
+    # Longest recordings first: the tasks still running when a worker
+    # runs dry are then the short ones, so the workers finish together
+    # and a slow worker or a late start delays the stage by little.
+    # The sort is stable over the sorted keys, so the order is fixed.
+    missing.sort(key=lambda tkey: -_record_cost(specs[grouped[tkey][0].workload]))
     record_tasks = []
     for tkey in missing:
         job, filters = grouped[tkey]
@@ -1645,8 +1712,11 @@ def execute_replays(
         report.sims_run += 1
         _add_checkpoint_counters(report, counters)
 
-    # Phase 2 — replay, fanned out per filter configuration.
-    parallel = backend_name != "serial" and workers > 1
+    # Phase 2 — replay.  One task per trace decodes each segment once
+    # for all of its filters; only when there are fewer traces than
+    # workers are a trace's filters split into one task each, so every
+    # worker has a replay to run.
+    split = backend_name != "serial" and len(needed) < workers
     owners = {
         ekey: grouped[tkey] for tkey in grouped for ekey in grouped[tkey][1]
     }
@@ -1660,7 +1730,7 @@ def execute_replays(
         path, segments = _segment_payload(experiment_store, segment_keys)
         phase_names = _phase_plan(specs[job.workload])[1]
         warm_states = _warm_states_for(experiment_store, manifest, pairs)
-        if parallel and len(pairs) > 1:
+        if split and len(pairs) > 1:
             tasks.extend(
                 (path, segments, job.system, [pair], kernel, phase_names,
                  None if warm_states is None
@@ -1701,12 +1771,12 @@ def replay_filter_from_store(
 ) -> FilterEvaluation | None:
     """Evaluate one filter from an already-recorded trace, if any.
 
-    The opportunistic fast path behind
-    :func:`repro.analysis.experiments.evaluate_filter`: when the store
-    holds a complete trace for this configuration, the evaluation is a
-    cheap replay (stored under the shared ``eval`` key as usual);
-    otherwise ``None`` — the caller decides whether simulating (or
-    recording) is worth it.  Never records a trace itself.
+    When the store holds a complete trace for this configuration, the
+    evaluation is a cheap replay (stored under the shared ``eval`` key
+    as usual); otherwise ``None`` — the caller decides whether
+    simulating (or recording) is worth it.  Never records a trace
+    itself.  The front door no longer calls it: exhibits batch their
+    replays through :func:`execute_replays`.
     """
     tkey = store_mod.trace_key(spec, system, seed)
     loaded = load_trace(experiment_store, tkey)

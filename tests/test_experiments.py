@@ -8,10 +8,23 @@ milliseconds.
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
+from dataclasses import replace
+
 import pytest
 
-from repro.analysis import experiments, runner, store as store_mod
+from repro.analysis import experiments, figures, resilience, runner
+from repro.analysis import store as store_mod
 from repro.coherence.config import SCALED_SYSTEM
+from repro.core.null import NullFilter
+from repro.energy.accounting import EnergyAccountant
+from repro.errors import (
+    FilterNameError,
+    FilterSafetyError,
+    TaskQuarantinedError,
+    WorkerCrashError,
+)
 from repro.traces.suite import Phase, Suite
 from repro.traces.workloads import WORKLOADS, PaperReference, WorkloadSpec
 
@@ -169,9 +182,22 @@ def front_store(request, tmp_path):
     experiments.set_store(None)
 
 
+def pin_cpus(monkeypatch, count: int) -> None:
+    """Make the front door see ``count`` usable CPUs."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
+
+
 @pytest.fixture
 def count_sims(monkeypatch):
-    """Counts streaming simulations; in-memory ones fail the test."""
+    """Counts streaming simulations; in-memory ones fail the test.
+
+    The counter lives in this process, and forked workers' simulations
+    never reach it, so the front door is pinned to one CPU (the serial
+    backend, in-process).
+    """
+    pin_cpus(monkeypatch, 1)
     calls = []
     original = runner.simulate_streaming
 
@@ -260,3 +286,362 @@ class TestOneSimulationPerWorkload:
             2, filter_name="EJ-8x2", workloads=(TINY_NAME, PHASED.name)
         )
         assert sorted(count_sims) == [(PHASED.name, 2), (TINY_NAME, 2)]
+
+
+# ----------------------------------------------------------------------
+# Exhibits fill their whole workload x filter grid in one pass
+# ----------------------------------------------------------------------
+
+#: The tiny registry the figure builders iterate in these tests.
+GRID_WORKLOADS = (TINY_NAME, PHASED.name)
+
+
+@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
+def cpus(request, monkeypatch):
+    """The usable CPUs the front door sees (its affinity mask)."""
+    pin_cpus(monkeypatch, request.param)
+    return request.param
+
+
+@pytest.fixture
+def tiny_registry(front_store, monkeypatch):
+    """Figures iterate the tiny workloads instead of the paper's ten."""
+    monkeypatch.setattr(
+        figures, "WORKLOADS", {name: WORKLOADS[name] for name in GRID_WORKLOADS}
+    )
+
+
+@pytest.fixture
+def replay_reports(monkeypatch):
+    """The executor calls the front door makes: ``(kwargs, report)``."""
+    calls = []
+    original = runner.execute_replays
+
+    def recording(jobs, **kwargs):
+        report = original(jobs, **kwargs)
+        calls.append((kwargs, report))
+        return report
+
+    monkeypatch.setattr(runner, "execute_replays", recording)
+    return calls
+
+
+def oracle_sim_metrics(workload: str, seed: int = 1) -> bytes:
+    return store_mod.encode_sim_metrics(
+        runner.compute_sim(WORKLOADS[workload], SCALED_SYSTEM, seed)
+    )
+
+
+def assert_cells_match_oracle(store, filter_names) -> None:
+    for workload in GRID_WORKLOADS:
+        spec = WORKLOADS[workload]
+        mkey = store_mod.sim_metrics_key(spec, SCALED_SYSTEM, 1)
+        assert store.get_blob(mkey) == oracle_sim_metrics(workload), workload
+        for name in filter_names:
+            key = store_mod.eval_key(spec, name, SCALED_SYSTEM, 1)
+            assert store.get_blob(key) == oracle_blob(workload, name), (
+                workload, name,
+            )
+
+
+def segment_count(store) -> int:
+    total = 0
+    for workload in GRID_WORKLOADS:
+        tkey = store_mod.trace_key(WORKLOADS[workload], SCALED_SYSTEM, 1)
+        manifest = store_mod.decode_trace_manifest(store.get_blob(tkey))
+        total += sum(manifest["segments_per_node"])
+    return total
+
+
+class TestGridFrontDoor:
+    def test_figure4a_matches_the_per_cell_oracle(
+        self, front_store, cpus, tiny_registry, replay_reports
+    ):
+        figure = figures.build_figure4a()
+        names = [series.label for series in figure.series]
+        assert_cells_match_oracle(front_store, names)
+        for series in figure.series:
+            assert list(series.values) == list(GRID_WORKLOADS)
+            for workload, value in series.values.items():
+                expected = store_mod.decode_eval(oracle_blob(workload, series.label))
+                assert value == expected.coverage.coverage
+        # One executor call for the exhibit, one recording per workload.
+        [(kwargs, report)] = replay_reports
+        assert report.sims_run == len(GRID_WORKLOADS)
+        assert report.evals_run == len(GRID_WORKLOADS) * len(names)
+        assert kwargs["workers"] == cpus
+        assert kwargs["backend"] == ("process" if cpus > 1 else "serial")
+        stats = front_store.stats()
+        assert (stats.traces, stats.sims) == (len(GRID_WORKLOADS), 0)
+
+    def test_figure6_matches_the_per_cell_oracle(
+        self, front_store, cpus, tiny_registry, replay_reports
+    ):
+        panels = figures.build_figure6()
+        names = [series.label for series in panels["a"].series]
+        assert_cells_match_oracle(front_store, names)
+        accountant = EnergyAccountant()
+        for workload in GRID_WORKLOADS:
+            sim = runner.compute_sim(WORKLOADS[workload], SCALED_SYSTEM, 1)
+            for panel, data in panels.items():
+                for series in data.series:
+                    reduction = accountant.reduction(
+                        sim.aggregate,
+                        store_mod.decode_eval(oracle_blob(workload, series.label)),
+                        series.label,
+                    )
+                    expected = {
+                        "a": reduction.over_snoops_serial,
+                        "b": reduction.over_all_serial,
+                        "c": reduction.over_snoops_parallel,
+                        "d": reduction.over_all_parallel,
+                    }[panel]
+                    assert series.values[workload] == expected, (
+                        panel, series.label, workload,
+                    )
+        assert sum(report.sims_run for _kwargs, report in replay_reports) == (
+            len(GRID_WORKLOADS)
+        )
+
+    def test_each_workload_is_recorded_once_across_exhibits(
+        self, front_store, cpus, tiny_registry, replay_reports
+    ):
+        figures.build_figure4a()
+        figures.build_figure5a()
+        experiments.summarize_nway(4, workloads=GRID_WORKLOADS)
+        reports = [report for _kwargs, report in replay_reports]
+        assert [report.sims_run for report in reports] == [2, 0, 0]
+        assert [report.sims_cached for report in reports] == [0, 2, 2]
+        assert front_store.stats().traces == len(GRID_WORKLOADS)
+
+    def test_warm_grid_touches_no_trace_and_starts_no_executor(
+        self, front_store, cpus, tiny_registry, monkeypatch
+    ):
+        cold = figures.build_figure4a()
+        for name in ("load_trace", "unservable_filters", "execute_replays",
+                     "execute"):
+            monkeypatch.setattr(
+                runner, name,
+                lambda *a, _name=name, **k: pytest.fail(f"warm grid ran {_name}"),
+            )
+        warm = figures.build_figure4a()
+        assert [s.values for s in warm.series] == [s.values for s in cold.series]
+
+    def test_one_cpu_decodes_each_segment_once_without_a_pool(
+        self, front_store, tiny_registry, monkeypatch
+    ):
+        pin_cpus(monkeypatch, 1)
+        for pool in ("ProcessPoolExecutor", "ThreadPoolExecutor"):
+            monkeypatch.setattr(
+                concurrent.futures, pool,
+                lambda *a, _pool=pool, **k: pytest.fail(f"{_pool} created"),
+            )
+        decodes = []
+        original = store_mod.decode_trace_segment
+
+        def counting(blob):
+            decodes.append(1)
+            return original(blob)
+
+        monkeypatch.setattr(store_mod, "decode_trace_segment", counting)
+        figures.build_figure4a()
+        segments = segment_count(front_store)
+        assert len(decodes) == segments
+        figures.build_figure4b()  # new filters, the same stored traces
+        assert len(decodes) == 2 * segments
+
+    def test_workers_never_exceed_the_workloads_to_record(
+        self, front_store, replay_reports, monkeypatch
+    ):
+        pin_cpus(monkeypatch, 64)
+        experiments.evaluate_filter(TINY_NAME, "EJ-8x2")
+        # Only the phased workload misses its EJ-8x2 cell.
+        experiments.evaluate_grid(GRID_WORKLOADS, ("EJ-8x2",))
+        experiments.evaluate_grid(GRID_WORKLOADS, ("IJ-8x4x7",))
+        [(one_cell, _), (one_row, _), (grid, _)] = replay_reports
+        # A grid of one records in this process, as before the grid.
+        assert (one_cell["workers"], one_cell["backend"]) == (1, "serial")
+        assert (one_row["workers"], one_row["backend"]) == (1, "serial")
+        assert (grid["workers"], grid["backend"]) == (2, "process")
+
+    def test_partly_warm_grid_loads_each_trace_once(
+        self, front_store, tiny_registry, monkeypatch
+    ):
+        pin_cpus(monkeypatch, 1)
+        figures.build_figure4a()
+        loads = []
+        original = runner.load_trace
+
+        def counting(store, tkey):
+            loads.append(tkey)
+            return original(store, tkey)
+
+        monkeypatch.setattr(runner, "load_trace", counting)
+        figures.build_figure4b()  # new filters, the same stored traces
+        assert len(loads) == len(set(loads)) == len(GRID_WORKLOADS)
+
+    def test_measured_only_trace_serves_warmed_cells_and_evaluates_the_rest_live(
+        self, front_store, cpus, replay_reports
+    ):
+        spec = WORKLOADS[TINY_NAME]
+        runner.record_trace(
+            spec, SCALED_SYSTEM, 1,
+            experiment_store=front_store, measured_only=True,
+        )
+        tkey = store_mod.trace_key(spec, SCALED_SYSTEM, 1)
+        # Manifest, segments and fast-forward row: segments and the
+        # fast-forward row carry the manifest key as their group.
+        recording = {
+            entry.key: front_store.get_blob(entry.key)
+            for entry in front_store.entries()
+            if tkey in (entry.key, entry.filter_name)
+        }
+        assert len(recording) > 2
+        served, unserved = runner.DEFAULT_SWEEP_FILTERS[0], "EJ-8x2"
+        grid = experiments.evaluate_grid((TINY_NAME,), (served, unserved))
+        for name in (served, unserved):
+            key = store_mod.eval_key(spec, name, SCALED_SYSTEM, 1)
+            assert front_store.get_blob(key) == oracle_blob(TINY_NAME, name)
+            assert grid[TINY_NAME, name] is front_store.get_eval(key)
+        [(_kwargs, report)] = replay_reports
+        assert (report.sims_run, report.evals_run) == (0, 1)
+        assert {key: front_store.get_blob(key) for key in recording} == recording
+        assert store_mod.decode_trace_manifest(recording[tkey])["measured_only"]
+
+    def test_filter_safety_error_keeps_its_type_through_the_pool(
+        self, front_store, cpus, monkeypatch
+    ):
+        # A null filter that filters every snoop is unsafe on the first
+        # snoop of a cached block.
+        monkeypatch.setattr(NullFilter, "_probe", lambda self, block: False)
+        with pytest.raises(FilterSafetyError):
+            experiments.evaluate_grid(GRID_WORKLOADS, ("null", "oracle"))
+
+    @pytest.mark.parametrize("stage", ["record", "replay"])
+    def test_quarantined_cells_raise_instead_of_leaving_holes(
+        self, front_store, cpus, monkeypatch, stage
+    ):
+        monkeypatch.setattr(
+            resilience, "DEFAULT_RETRY_POLICY",
+            resilience.RetryPolicy(max_attempts=2, base_delay=0.0),
+        )
+        if stage == "record":
+            original = runner.record_trace
+
+            def crashing(spec, *args, **kwargs):
+                if spec.name == PHASED.name:
+                    raise WorkerCrashError("injected recording crash")
+                return original(spec, *args, **kwargs)
+
+            monkeypatch.setattr(runner, "record_trace", crashing)
+        else:
+            def crashing(*args, **kwargs):
+                raise WorkerCrashError("injected replay crash")
+
+            monkeypatch.setattr(runner, "replay_trace", crashing)
+        with pytest.raises(TaskQuarantinedError, match="quarantined"):
+            experiments.evaluate_grid(GRID_WORKLOADS, ("EJ-8x2",))
+
+    def test_bad_filter_name_fails_before_simulating(
+        self, front_store, count_sims
+    ):
+        with pytest.raises(FilterNameError):
+            experiments.evaluate_grid((TINY_NAME,), ("EJ-8x2", "bogus"))
+        assert count_sims == []
+
+
+class TestWarmReplaysLoadNoTrace:
+    """A fully stored job must not load (decode and probe) its trace."""
+
+    def test_warm_execute_replays(self, front_store, monkeypatch):
+        jobs = [runner.ReplayJob(TINY_NAME, ("EJ-8x2", "IJ-8x4x7"))]
+        runner.execute_replays(jobs, experiment_store=front_store)
+        monkeypatch.setattr(
+            runner, "load_trace",
+            lambda *a, **k: pytest.fail("warm execute_replays loaded a trace"),
+        )
+        report = runner.execute_replays(jobs, experiment_store=front_store)
+        assert (report.sims_run, report.sims_cached) == (0, 1)
+        assert (report.evals_run, report.evals_cached) == (0, 2)
+
+    def test_warm_grid(self, front_store, cpus, monkeypatch):
+        experiments.evaluate_grid(GRID_WORKLOADS, ("EJ-8x2",))
+        monkeypatch.setattr(
+            runner, "load_trace",
+            lambda *a, **k: pytest.fail("warm grid loaded a trace"),
+        )
+        experiments.evaluate_grid(GRID_WORKLOADS, ("EJ-8x2",))
+
+
+class TestReplayTasks:
+    """A replay task serves all of a trace's filters, so each segment is
+    decoded once, unless there are fewer traces than workers."""
+
+    @pytest.mark.parametrize(
+        "workloads, decodes_per_segment",
+        [(GRID_WORKLOADS, 1), ((TINY_NAME,), 2)],
+        ids=["traces-fill-the-workers", "fewer-traces-than-workers"],
+    )
+    def test_segment_decodes(
+        self, front_store, monkeypatch, workloads, decodes_per_segment
+    ):
+        runner.execute_replays(
+            [runner.ReplayJob(workload, ()) for workload in workloads],
+            experiment_store=front_store, backend="serial",
+        )
+        decodes = []
+        original = store_mod.decode_trace_segment
+
+        def counting(blob):
+            decodes.append(1)
+            return original(blob)
+
+        monkeypatch.setattr(store_mod, "decode_trace_segment", counting)
+        # Threads share this process, so the counter sees every decode.
+        report = runner.execute_replays(
+            [runner.ReplayJob(workload, ("EJ-8x2", "IJ-8x4x7"))
+             for workload in workloads],
+            experiment_store=front_store, workers=2, backend="thread",
+        )
+        assert report.evals_run == 2 * len(workloads)
+        segments = 0
+        for workload in workloads:
+            tkey = store_mod.trace_key(WORKLOADS[workload], SCALED_SYSTEM, 1)
+            manifest = store_mod.decode_trace_manifest(front_store.get_blob(tkey))
+            segments += sum(manifest["segments_per_node"])
+        assert len(decodes) == decodes_per_segment * segments
+
+
+class TestRecordOrder:
+    """Recordings run costliest first, so pool workers finish together."""
+
+    def test_snoop_bound_paper_workload_ranks_first(self):
+        paper = [name for name in WORKLOADS if name != TINY_NAME]
+        ranked = sorted(paper, key=lambda name: -runner._record_cost(WORKLOADS[name]))
+        # em3d has the fewest accesses but by far the most L1 misses.
+        assert ranked[0] == "em3d"
+
+    def test_execute_replays_records_costliest_first(self, monkeypatch):
+        long_spec = replace(tiny_spec(), name="test-tiny-long", n_accesses=8_000)
+        specs = {TINY_NAME: tiny_spec(), long_spec.name: long_spec}
+        keys = {
+            name: store_mod.trace_key(spec, SCALED_SYSTEM, 1)
+            for name, spec in specs.items()
+        }
+        # The store keys sort the cheap recording first: only the cost
+        # order can put the long one ahead of it.
+        assert sorted(specs, key=keys.get) == [TINY_NAME, long_spec.name]
+        recorded = []
+        original = runner.record_trace
+
+        def logging(spec, *args, **kwargs):
+            recorded.append(spec.name)
+            return original(spec, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "record_trace", logging)
+        runner.execute_replays(
+            [runner.ReplayJob(name, ("EJ-8x2",)) for name in specs],
+            experiment_store=store_mod.ExperimentStore(), specs=specs,
+            backend="serial",
+        )
+        assert recorded == [long_spec.name, TINY_NAME]
